@@ -20,8 +20,7 @@ from .oracle import (OracleCapExceeded, max_oracle, overlap_graph_full,
                      overlaps)
 from .partition import OrderedPartition, SplitEvent
 from .pipeline import PipelineResult, run_pipeline
-from .subgraph import (OverlapSubgraph, Quintuple, SpanningForest,
-                       build_overlap_subgraph, build_quintuples,
-                       resolve_quintuples, spanning_forest)
+from .subgraph import (OverlapSubgraph, SpanningForest,
+                       build_overlap_subgraph, spanning_forest)
 
 __version__ = "0.1.0"

@@ -26,16 +26,18 @@ def _label(i):
     return "X%d" % (i + 1)
 
 
+def _input_error(exc):
+    """Report a bad input or setting and exit 2."""
+    print("error: %s" % exc, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_family(fh)
-    except FamilyFormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        raise SystemExit(2)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        raise SystemExit(2)
+    except (OSError, UnicodeDecodeError, FamilyFormatError) as exc:
+        _input_error(exc)
 
 
 def _json_payload(res):
@@ -47,7 +49,8 @@ def _json_payload(res):
 
 
 def _print_json(payload, out):
-    json.dump(payload, out, separators=(", ", ": "))
+    # json.dump would stream through the pure-Python encoder
+    out.write(json.dumps(payload, separators=(", ", ": ")))
     out.write("\n")
 
 
@@ -160,6 +163,8 @@ def cmd_verify(args, out):
     except OracleCapExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except ValueError as exc:  # OVERLAP_ORACLE_CAP is not an integer
+        _input_error(exc)
     res = run_pipeline(f)
     from .family import lf_order
     ok, lines = verify_result(res, full, max_oracle(f, lf_order(f)))
@@ -181,11 +186,13 @@ def cmd_gen(args, out):
         else:
             text = gen_blocks(args.n, args.m, args.blocks, args.seed)
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        _input_error(exc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _input_error(exc)
     else:
         out.write(text)
     return 0
@@ -260,7 +267,10 @@ def bench_rows(sizes, seed, isolate=False):
 
 
 def cmd_bench(args, out):
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError as exc:
+        _input_error(exc)
     rows = bench_rows(sizes, args.seed, isolate=True)
     out.write(BENCH_HEADER + "\n")
     for r in rows:

@@ -49,6 +49,8 @@ class SetFamily:
         self.sets = [list(s) for s in sets]
         self.n = len(self.tokens)
         self.m = len(self.sets)
+        if not self.sets:
+            raise ValueError("family has no sets")
         self.sizes = array("i", [len(s) for s in self.sets])
         self.total_size = sum(self.sizes)
         if validate:
@@ -183,11 +185,13 @@ class SLLists:
 def parse_family(source):
     """Parse the family text format into a SetFamily.
 
-    One set per line, elements as whitespace-separated tokens. Lines
-    starting with '#' are comments. An optional '!universe tok ...' line
-    declares elements appearing in no set. Duplicate tokens within a line
-    are dropped; an empty (or whitespace-only) line is rejected because it
-    would denote an empty set.
+    One set per line, elements as whitespace-separated tokens. A line
+    whose first non-blank character is '#' is a comment; a '#' anywhere
+    else is an ordinary token. A line whose first token is exactly
+    '!universe' declares the elements after it, which may appear in no
+    set. Duplicate tokens within a line are dropped; an empty (or
+    whitespace-only) line is rejected because it would denote an empty
+    set.
     """
     text = source.read() if hasattr(source, "read") else source
     index = {}
@@ -202,16 +206,15 @@ def parse_family(source):
 
     sets = []
     for line_no, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            continue
-        if stripped.startswith("!universe"):
-            for tok in stripped.split()[1:]:
-                intern(tok)
-            continue
-        toks = stripped.split()
+        toks = line.split()
         if not toks:
             raise FamilyFormatError("empty set", line_no)
+        if toks[0].startswith("#"):
+            continue
+        if toks[0] == "!universe":
+            for tok in toks[1:]:
+                intern(tok)
+            continue
         seen = set()
         elems = []
         for t in toks:

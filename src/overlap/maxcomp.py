@@ -8,9 +8,10 @@ size >= |X| (None when no such Y exists). The passes are:
    lexicographically (that matrix is never materialized);
 2. read off, per set, the leftmost/rightmost position of its elements in
    that order, and index all sets by their rightmost position;
-3. replay the refinement over the frozen final order; each split hands the
-   refining set out as Max to exactly the sets whose left bound falls in
-   the prefix and right bound in the new suffix part.
+3. replay the refinement over the frozen final order; each split serves
+   the sets whose left bound falls in the prefix and right bound in the
+   new suffix part. The refiner is a served set's Max if it is at least
+   as large; otherwise the set is dropped by size for good.
 
 A part keeps its interval of the table for good: later swaps stay inside
 the parts it splits into. So every split of pass 1 falls at the same
@@ -91,52 +92,17 @@ class MaxAssignment:
 
 
 class AMStructure:
-    """Sets indexed by right bound, each list sorted by increasing left.
+    """Sets indexed by right bound, each position's sets by increasing left.
 
-    Intrusive doubly-linked lists over set indices, one list per table
-    position, plus per-size buckets for batch removal. remove() is O(1);
-    a set can be removed at most once. by_size maps each set size to its
-    sets in input order, largest size first, so its values in turn are the
-    LF order cut into runs of equal size.
+    sets holds every set id sorted by (right, left, index); the sets whose
+    right bound is position q are sets[start[q]:start[q + 1]].
     """
 
-    __slots__ = ("head", "nxt", "prv", "live", "by_size")
+    __slots__ = ("sets", "start")
 
-    def __init__(self, head, nxt, prv, by_size):
-        self.head = head
-        self.nxt = nxt
-        self.prv = prv  # prv < 0: head of list at -prv-1
-        self.live = bytearray(b"\x01") * len(nxt)
-        self.by_size = by_size
-
-    def front(self, pos):
-        return self.head[pos]
-
-    def remove(self, x):
-        if not self.live[x]:
-            return
-        self.live[x] = 0
-        nxt = self.nxt[x]
-        prv = self.prv[x]
-        if prv >= 0:
-            self.nxt[prv] = nxt
-        else:
-            self.head[-prv - 1] = nxt
-        if nxt >= 0:
-            self.prv[nxt] = prv
-
-    def remove_all_of_size(self, size):
-        for x in self.by_size.get(size, ()):
-            self.remove(x)
-
-    def content(self, pos):
-        """Live sets at a position, front to back (debug/test helper)."""
-        out = []
-        x = self.head[pos]
-        while x >= 0:
-            out.append(x)
-            x = self.nxt[x]
-        return out
+    def __init__(self, sets, start):
+        self.sets = sets
+        self.start = start
 
 
 def compute_pf(f, lf):
@@ -154,64 +120,49 @@ def compute_bounds(f, pf):
                   np.maximum.reduceat(vals, starts))
 
 
-def build_am(f, lf, bounds):
-    """Pass 2b: sort sets by (right, left, index) into the position lists."""
-    n, m = f.n, f.m
-    order = np.lexsort((bounds.left, bounds.right))
-    r = bounds.right[order]
-    same = r[1:] == r[:-1]
-    first = np.ones(m, dtype=bool)
-    first[1:] = ~same
-    nxt = np.full(m, -1, dtype=np.int32)
-    prv = np.empty(m, dtype=np.int32)
-    nxt[order[:-1][same]] = order[1:][same]
-    prv[order[1:][same]] = order[:-1][same]
-    prv[order[first]] = -r[first] - 1
-    head = np.full(n, -1, dtype=np.int32)
-    head[r[first]] = order[first]
-
-    lf_sizes = np.frombuffer(f.sizes, dtype=np.int32)[lf.order]
-    cuts = (np.flatnonzero(lf_sizes[1:] != lf_sizes[:-1]) + 1).tolist()
-    by_size = {int(lf_sizes[a]): lf.order[a:b]
-               for a, b in zip([0] + cuts, cuts + [m])}
-    return AMStructure(array("i", head.tobytes()), array("i", nxt.tobytes()),
-                       array("i", prv.tobytes()), by_size)
+def build_am(f, bounds):
+    """Pass 2b: sort the sets by (right, left, index), cut by right bound."""
+    sets = np.lexsort((bounds.left, bounds.right)).astype(np.int32)
+    start = np.zeros(f.n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(bounds.right, minlength=f.n), out=start[1:])
+    return AMStructure(sets, start)
 
 
 def compute_max(f, lf, pf, bounds, am):
     """Pass 3: replay the LF refinement's splits over the frozen final order.
 
-    When a part splits at boundary l, every set still indexed under a
-    position of the new suffix part whose left bound is <= l has just been
-    separated for the first time, and the refiner is its Max. After the
-    last set of each size, the sets of that size leave the table: no
-    later (smaller) refiner can be their Max.
+    When a part splits at boundary l, the sets indexed under a position of
+    the new suffix part whose left bound is <= l are separated for the
+    first time. Each position's cursor walks past them, so a set is served
+    once. The refiner is its Max if it is at least as large; otherwise the
+    set is dropped by size, since later refiners are no larger. A walk
+    stops at the first set with left > l, not separated yet, as are those
+    after it. Each cursor step retires one set, so the pass is O(n + |F|).
     """
     order = lf.order
-    left = array("i", bounds.left.tobytes())
+    sizes = f.sizes
+    sets = array("i", am.sets.tobytes())
+    left = array("i", bounds.left[am.sets].tobytes())
+    cursor = array("i", am.start[:-1].tobytes())
+    end = array("i", am.start[1:].tobytes())
+    front = np.full(f.n, f.n, dtype=np.int32)  # left bound at the cursor
+    np.minimum.at(front, bounds.right, bounds.left)  # n past the last set
+    front = array("i", front.tobytes())
     maxes = array("i", [-1]) * f.m
     splits = pf.splits
-    head = am.head
-    nxt = am.nxt
-    prv = am.prv
-    live = am.live
-    i = 0
-    end = 0
-    for run in am.by_size.values():
-        end += len(run)
-        while i < len(splits) and splits[i] < end:
-            y = order[splits[i]]
-            boundary = splits[i + 2]
-            for q in range(boundary + 1, splits[i + 3] + 1):
-                x = head[q]
-                while x >= 0 and left[x] <= boundary:
-                    live[x] = 0
-                    maxes[x] = y
-                    x = head[q] = nxt[x]
-                    if x >= 0:
-                        prv[x] = -q - 1
-            i += 4
-        for x in run:
-            if live[x]:
-                am.remove(x)
+    for i in range(0, len(splits), 4):
+        y = order[splits[i]]
+        size = sizes[y]
+        boundary = splits[i + 2]
+        for q in range(boundary + 1, splits[i + 3] + 1):
+            if front[q] <= boundary:
+                c = cursor[q]
+                stop = end[q]
+                while c < stop and left[c] <= boundary:
+                    x = sets[c]
+                    if sizes[x] <= size:
+                        maxes[x] = y
+                    c += 1
+                cursor[q] = c
+                front[q] = left[c] if c < stop else f.n
     return MaxAssignment([None if v < 0 else v for v in maxes])

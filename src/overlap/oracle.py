@@ -32,7 +32,11 @@ def oracle_cap():
     raw = os.environ.get("OVERLAP_ORACLE_CAP")
     if raw is None:
         return DEFAULT_ORACLE_CAP
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError("OVERLAP_ORACLE_CAP must be an integer, got %r"
+                         % raw) from None
 
 
 def overlaps(a, b):

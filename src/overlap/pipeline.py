@@ -60,7 +60,7 @@ def run_pipeline(f):
 
     pf = compute_pf(f, lf)
     bounds = compute_bounds(f, pf)
-    am = build_am(f, lf, bounds)
+    am = build_am(f, bounds)
     maxes = compute_max(f, lf, pf, bounds, am)
     t2 = clock()
     times["maxcomp"] = t2 - t1

@@ -6,35 +6,19 @@ overlap graph. Base edges pair each set with its Max; the remaining
 candidates are carried as quintuples and resolved by two boundary
 membership tests into a guaranteed overlap edge.
 
-The hot path keeps quintuples and edge endpoints in flat parallel numpy
-arrays; the public operations expose the friendly Quintuple / pair
-views.
+Quintuples and edge endpoints are kept as flat parallel numpy arrays.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .dgraph import ComponentLabeling, dedup_sorted_pairs, spanning_edges
-from .maxcomp import compute_bounds
 
 __all__ = [
-    "Quintuple",
     "OverlapSubgraph",
     "SpanningForest",
-    "build_quintuples",
-    "resolve_quintuples",
     "build_overlap_subgraph",
     "spanning_forest",
 ]
-
-
-class Quintuple(NamedTuple):
-    left: int   # left bound of X
-    right: int  # right bound of X
-    x: int
-    y: int
-    mx: int     # Max of X
 
 
 def _pairs(a, b):
@@ -162,25 +146,6 @@ def _resolve(pf, sl, bounds, left, right, mx, qx, qy):
     both[both] = _holds(pf, sl, bounds, right[both], qy[both])
     a = np.where(both, mx, qx)
     return np.minimum(a, qy), np.maximum(a, qy)
-
-
-def build_quintuples(f, sl, maxes, bounds):
-    """Collect the Max base edges and one quintuple per covered SL entry."""
-    ea, eb, qx, qy = _collect(f, sl, maxes)
-    mx = maxes.partners
-    lq1 = [Quintuple(*q) for q in zip(bounds.left[qx].tolist(),
-                                      bounds.right[qx].tolist(),
-                                      qx.tolist(), qy.tolist(),
-                                      mx[qx].tolist())]
-    return _pairs(*dedup_sorted_pairs(ea, eb, f.m)), lq1
-
-
-def resolve_quintuples(lq1, f, pf, sl):
-    """Turn each quintuple into an edge that is certainly an overlap."""
-    left, right, qx, qy, mx = np.array(lq1, dtype=np.int64).reshape(-1, 5).T
-    bounds = compute_bounds(f, pf)
-    return _pairs(*dedup_sorted_pairs(
-        *_resolve(pf, sl, bounds, left, right, mx, qx, qy), f.m))
 
 
 def build_overlap_subgraph(f, sl, maxes, bounds, pf):

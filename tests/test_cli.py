@@ -33,11 +33,9 @@ class TestClasses:
     def test_json(self, fam_a_file):
         code, out = run_cli("classes", "--json", fam_a_file)
         assert code == 0
-        assert json.loads(out) == {
-            "classes": [[1, 2, 3], [4]],
-            "max": [2, 1, 2, None],
-            "edges": [[1, 2], [2, 3]],
-        }
+        # the exact line the README shows
+        assert out == ('{"classes": [[1, 2, 3], [4]], "max": [2, 1, 2, null],'
+                       ' "edges": [[1, 2], [2, 3]]}\n')
 
     def test_single_set(self, tmp_path):
         path = tmp_path / "one.txt"
@@ -188,6 +186,27 @@ class TestBench:
         # first row has no ratio, second does
         assert lines[1].endswith(",")
         assert float(lines[2].rsplit(",", 1)[1]) > 0
+
+
+@pytest.mark.parametrize("case", ["oracle_cap", "bench_sizes", "gen_out",
+                                  "non_utf8"])
+def test_bad_input_or_setting_exits_2(case, fam_a_file, tmp_path,
+                                      monkeypatch, capsys):
+    if case == "oracle_cap":
+        monkeypatch.setenv("OVERLAP_ORACLE_CAP", "many")
+        argv = ["verify", fam_a_file]
+    elif case == "bench_sizes":
+        argv = ["bench", "--sizes", "1,x"]
+    elif case == "gen_out":
+        argv = ["gen", "star", "--out", str(tmp_path / "missing" / "x")]
+    else:
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"caf\xe9 1\n")
+        argv = ["classes", str(path)]
+    code, out = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_json_byte_identical_across_processes(fam_a_file):

@@ -13,7 +13,7 @@ def dahlhaus(f):
     sl = build_sl_lists(f, lf)
     pf = compute_pf(f, lf)
     bounds = compute_bounds(f, pf)
-    maxes = compute_max(f, lf, pf, bounds, build_am(f, lf, bounds))
+    maxes = compute_max(f, lf, pf, bounds, build_am(f, bounds))
     return build_dgraph(f, sl, maxes)
 
 

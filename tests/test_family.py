@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlap.family import (FamilyFormatError, build_sl_lists, lf_order,
-                            parse_family)
+from overlap.family import (FamilyFormatError, SetFamily, build_sl_lists,
+                            lf_order, parse_family)
 
 from conftest import FAM_A_TEXT, make_family, random_family, seeded_rng
 
@@ -34,6 +34,15 @@ class TestParse:
         assert f.n == 4
         assert f.m == 1
 
+    def test_universe_prefix_is_a_set(self):
+        f = parse_family("!universefoo 1 2\n")
+        assert f.m == 1
+        assert [f.tokens[e] for e in f.sets[0]] == ["!universefoo", "1", "2"]
+
+    def test_hash_after_first_token_is_an_element(self):
+        f = parse_family("1 2 # c\n")
+        assert [f.tokens[e] for e in f.sets[0]] == ["1", "2", "#", "c"]
+
     def test_empty_line_rejected_with_line_number(self):
         with pytest.raises(FamilyFormatError) as exc:
             parse_family("a b\n\nb c\n")
@@ -42,6 +51,10 @@ class TestParse:
     def test_no_sets_rejected(self):
         with pytest.raises(FamilyFormatError, match="no sets"):
             parse_family("# only comments\n")
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="family has no sets"):
+            SetFamily.from_elements([])
 
     def test_file_object(self, tmp_path):
         path = tmp_path / "fam.txt"

@@ -13,7 +13,7 @@ def max_stages(f):
     lf = lf_order(f)
     pf = compute_pf(f, lf)
     bounds = compute_bounds(f, pf)
-    am = build_am(f, lf, bounds)
+    am = build_am(f, bounds)
     return lf, pf, bounds, am
 
 
@@ -82,24 +82,13 @@ class TestAM:
 
     def test_fam_a_order(self, fam_a):
         _, _, bounds, am = max_stages(fam_a)
+
+        def at(q):
+            return am.sets[am.start[q]:am.start[q + 1]].tolist()
+
         # position 3 holds X4 (left 0), X2 (left 1), X1 (left 2), left-sorted
-        assert am.content(3) == [3, 1, 0]
-        assert am.content(2) == []
-
-    def test_remove_unlinks(self, fam_a):
-        _, _, _, am = max_stages(fam_a)
-        am.remove(1)
-        assert am.content(3) == [3, 0]
-        am.remove(3)
-        assert am.content(3) == [0]
-        am.remove(3)  # double removal is a no-op
-        assert am.content(3) == [0]
-
-    def test_remove_all_of_size(self, fam_a):
-        _, _, _, am = max_stages(fam_a)
-        am.remove_all_of_size(2)
-        assert am.content(3) == [3]
-        assert am.content(1) == []
+        assert at(3) == [3, 1, 0]
+        assert at(2) == []
 
 
 class TestComputeMax:
@@ -127,6 +116,15 @@ class TestComputeMax:
         f = make_family([0], [0, 1], [0, 1, 2])
         maxes, _ = fast_max(f)
         assert maxes.values == [None, None, None]
+
+    def test_dropped_by_size_keeps_later_set_at_position(self):
+        # all three sets end at position 2, in the order X2, X3, X1 by
+        # left bound. Refiner X1 first separates X2 and X3: X2 is larger
+        # and is dropped, X3 gets X1. X1, behind them, is served by the
+        # next refiner X3
+        f = make_family([1, 2], [0, 1, 2], [0, 2])
+        maxes, _ = fast_max(f)
+        assert maxes.values == [2, None, 0]
 
 
 def test_max_matches_oracle_exhaustive_small():

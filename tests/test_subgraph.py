@@ -1,10 +1,11 @@
-from overlap.dgraph import UnionFind
+import numpy as np
+
+from overlap.dgraph import UnionFind, dedup_sorted_pairs
 from overlap.family import build_sl_lists, lf_order
 from overlap.maxcomp import build_am, compute_bounds, compute_max, compute_pf
 from overlap.oracle import overlap_graph_full, overlaps
 from overlap.pipeline import run_pipeline
-from overlap.subgraph import (Quintuple, build_overlap_subgraph,
-                              build_quintuples, resolve_quintuples,
+from overlap.subgraph import (_collect, _resolve, build_overlap_subgraph,
                               spanning_forest)
 
 from conftest import make_family, random_family, seeded_rng
@@ -15,15 +16,31 @@ def stages(f):
     sl = build_sl_lists(f, lf)
     pf = compute_pf(f, lf)
     bounds = compute_bounds(f, pf)
-    maxes = compute_max(f, lf, pf, bounds, build_am(f, lf, bounds))
+    maxes = compute_max(f, lf, pf, bounds, build_am(f, bounds))
     return lf, sl, pf, bounds, maxes
+
+
+def collect(f, sl, maxes, bounds):
+    """The deduplicated base edges, and each quintuple as a tuple
+    (left, right, x, y, mx) with the bounds of x and its Max mx."""
+    ea, eb, qx, qy = _collect(f, sl, maxes)
+    base = list(zip(*(e.tolist() for e in dedup_sorted_pairs(ea, eb, f.m))))
+    cols = (bounds.left[qx], bounds.right[qx], qx, qy, maxes.partners[qx])
+    return base, list(zip(*(c.tolist() for c in cols)))
+
+
+def resolve(pf, sl, bounds, left, right, x, y, mx):
+    """The edges that the one quintuple (left, right, x, y, mx) gives."""
+    a, b = _resolve(pf, sl, bounds, *(np.array([v]) for v in
+                                      (left, right, mx, x, y)))
+    return list(zip(a.tolist(), b.tolist()))
 
 
 class TestQuintuples:
 
     def test_fam_a_base_edges(self, fam_a):
         _, sl, _, bounds, maxes = stages(fam_a)
-        base, lq1 = build_quintuples(fam_a, sl, maxes, bounds)
+        base, lq1 = collect(fam_a, sl, maxes, bounds)
         assert base == [(0, 1), (1, 2)]
         # SL tie-break puts X3 before X2 on SL(3), so the interval head
         # there is X3 whose Max is the very next entry: no quintuple
@@ -34,22 +51,21 @@ class TestQuintuples:
         # covers B, and B is neither C nor Max(C)=A
         f = make_family(["a", "b"], ["b", "c"], ["b", "d"])
         _, sl, _, bounds, maxes = stages(f)
-        base, lq1 = build_quintuples(f, sl, maxes, bounds)
+        base, lq1 = collect(f, sl, maxes, bounds)
         assert maxes.values == [1, 0, 0]
-        assert [(q.x, q.y, q.mx) for q in lq1] == [(2, 1, 0)]
-        q = lq1[0]
-        assert (q.left, q.right) == (bounds.left[2], bounds.right[2])
+        assert [q[2:] for q in lq1] == [(2, 1, 0)]
+        assert lq1[0][:2] == (bounds.left[2], bounds.right[2])
 
     def test_disjoint_empty(self):
         f = make_family([0, 1], [2, 3])
         _, sl, _, bounds, maxes = stages(f)
-        base, lq1 = build_quintuples(f, sl, maxes, bounds)
+        base, lq1 = collect(f, sl, maxes, bounds)
         assert base == [] and lq1 == []
 
     def test_nested_chain_empty(self):
         f = make_family([0], [0, 1], [0, 1, 2])
         _, sl, _, bounds, maxes = stages(f)
-        base, lq1 = build_quintuples(f, sl, maxes, bounds)
+        base, lq1 = collect(f, sl, maxes, bounds)
         assert base == [] and lq1 == []
 
     def test_size_bounds_random(self):
@@ -57,13 +73,13 @@ class TestQuintuples:
         for _ in range(100):
             f = random_family(rng, max_n=15, max_m=20)
             _, sl, _, bounds, maxes = stages(f)
-            base, lq1 = build_quintuples(f, sl, maxes, bounds)
+            base, lq1 = collect(f, sl, maxes, bounds)
             assert len(base) <= f.m
             assert len(lq1) <= f.total_size
-            for q in lq1:
-                assert q.y not in (q.x, q.mx)
-                assert f.sizes[q.x] <= f.sizes[q.y] <= f.sizes[q.mx]
-                assert not set(f.sets[q.x]).isdisjoint(f.sets[q.y])
+            for _, _, x, y, mx in lq1:
+                assert y not in (x, mx)
+                assert f.sizes[x] <= f.sizes[y] <= f.sizes[mx]
+                assert not set(f.sets[x]).isdisjoint(f.sets[y])
 
 
 class TestResolve:
@@ -71,21 +87,18 @@ class TestResolve:
     def test_fam_a_manual_quintuple(self, fam_a):
         # (l=1, r=3, X2, X3, X1): P_f position 1 holds "3" (in X3) and
         # position 3 holds "2" (not in X3), so the edge is (X2, X3)
-        _, sl, pf, _, _ = stages(fam_a)
-        q = Quintuple(1, 3, 1, 2, 0)
-        assert resolve_quintuples([q], fam_a, pf, sl) == [(1, 2)]
+        _, sl, pf, bounds, _ = stages(fam_a)
+        assert resolve(pf, sl, bounds, 1, 3, 1, 2, 0) == [(1, 2)]
 
     def test_phase1_short_circuit(self, fam_a):
         # position 2 holds "1" which X3 misses: edge (X, Y) immediately
-        _, sl, pf, _, _ = stages(fam_a)
-        q = Quintuple(2, 3, 1, 2, 0)
-        assert resolve_quintuples([q], fam_a, pf, sl) == [(1, 2)]
+        _, sl, pf, bounds, _ = stages(fam_a)
+        assert resolve(pf, sl, bounds, 2, 3, 1, 2, 0) == [(1, 2)]
 
     def test_both_members_fall_back_to_max(self, fam_a):
         # X4 contains every element, so its quintuple resolves to (Y, M)
-        _, sl, pf, _, _ = stages(fam_a)
-        q = Quintuple(1, 3, 1, 3, 0)
-        assert resolve_quintuples([q], fam_a, pf, sl) == [(0, 3)]
+        _, sl, pf, bounds, _ = stages(fam_a)
+        assert resolve(pf, sl, bounds, 1, 3, 1, 3, 0) == [(0, 3)]
 
 
 class TestSubgraph:
@@ -178,8 +191,8 @@ def test_quintuples_match_stack_scan_random():
     for _ in range(200):
         f = random_family(rng, max_n=15, max_m=20)
         _, sl, _, bounds, maxes = stages(f)
-        _, lq1 = build_quintuples(f, sl, maxes, bounds)
-        assert [(q.x, q.y) for q in lq1] == stack_quintuples(f, sl, maxes)
+        _, lq1 = collect(f, sl, maxes, bounds)
+        assert [q[2:4] for q in lq1] == stack_quintuples(f, sl, maxes)
 
 
 def test_forest_matches_union_find_sweep_random():
