@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import overlap.cli as cli
+from overlap.generate import gen_blocks, gen_nested, gen_random, gen_star
 
 from conftest import FAM_A_TEXT
 
@@ -215,3 +217,56 @@ def test_json_byte_identical_across_processes(fam_a_file):
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+GOLDEN_CORPUS = [
+    gen_random(12, 20, 1),
+    gen_random(30, 60, 2, max_size=6),
+    gen_random(60, 150, 3, min_size=2, max_size=10),
+    gen_blocks(40, 60, 5, 1),
+    gen_blocks(64, 200, 8, 2),
+    gen_star(5),
+    gen_star(40),
+    gen_nested(1),
+    gen_nested(12),
+    FAM_A_TEXT,
+    "# duplicate sets and declared elements\n!universe z q\n"
+    "a b c\nb c\na b c\nc d\nq b\nb c\n",
+]
+
+# sha256 of each mode's stdout over GOLDEN_CORPUS, concatenated in order.
+# Any change to these bytes is a change of the CLI's output format.
+GOLDEN_SHA256 = {
+    "classes":
+        "467557d08d5ebbf4f4f9bb1ca20fff976b04a1af8fae0a054eca3a3a70a25f35",
+    "classes --json":
+        "e4c73168645aac64881b45685f101fd79f0a89d2c31ad16a6a470d959f5f2256",
+    "max":
+        "b30ebfb4097c31e2315bd1190753453d02889a0de7669fb03f74282c983f11bc",
+    "max --json":
+        "e4c73168645aac64881b45685f101fd79f0a89d2c31ad16a6a470d959f5f2256",
+    "subgraph":
+        "27e17990c5fd56b814298344d0de8fe259fa623f3dc3458edc3985ddccb706f4",
+    "subgraph --json":
+        "e4c73168645aac64881b45685f101fd79f0a89d2c31ad16a6a470d959f5f2256",
+    "subgraph --dot":
+        "c5532a1fb13321f6b37e2a3b15d2de84793bd1faea51f21d4d36ea99376dde2b",
+    "forest":
+        "05ef017b37eccb2363250fa297bb5f0d89315dc4441df2e7a8734e4228c391d2",
+    "forest --json":
+        "bb12c4120434bceae46ae5541a0b7e01f7d62d5cddf27d32c3ddf11667e5213a",
+    "forest --dot":
+        "a88cbcff98f681595900dc47e53379dc256afca3c66f04cc2dc94af961190c92",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_SHA256))
+def test_output_bytes_golden(mode, tmp_path):
+    digest = hashlib.sha256()
+    for i, text in enumerate(GOLDEN_CORPUS):
+        path = tmp_path / ("f%d.txt" % i)
+        path.write_text(text)
+        code, out = run_cli(*mode.split(), str(path))
+        assert code == 0
+        digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_SHA256[mode]

@@ -56,6 +56,20 @@ class TestParse:
         with pytest.raises(ValueError, match="family has no sets"):
             SetFamily.from_elements([])
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="empty set in family"):
+            SetFamily(["a", "b"], [[0, 1], []])
+
+    def test_duplicate_element_rejected(self):
+        with pytest.raises(ValueError, match="duplicate element within a set"):
+            SetFamily(["a", "b"], [[0], [1, 0, 1]])
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_element_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="element index %d out of range"
+                           % bad):
+            SetFamily(["a", "b"], [[0, 1], [bad]])
+
     def test_file_object(self, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text(FAM_A_TEXT)
