@@ -40,12 +40,18 @@ def _load(path):
         _input_error(exc)
 
 
-def _json_payload(res):
-    return {
+def _json_payload(res, with_forest):
+    payload = {
         "classes": [[i + 1 for i in c] for c in res.labeling.classes],
-        "max": [None if v is None else v + 1 for v in res.maxes.values],
+        "max": [None if v < 0 else v + 1 for v in res.maxes.partners.tolist()],
         "edges": [[a + 1, b + 1] for a, b in res.subgraph.edges],
     }
+    if with_forest:
+        payload["forest"] = [
+            {"root": r + 1, "edges": [[a + 1, b + 1] for a, b in tree]}
+            for r, tree in zip(res.forest.roots, res.forest.tree_edges)
+        ]
+    return payload
 
 
 def _print_json(payload, out):
@@ -63,55 +69,46 @@ def _dot(name, m, edges, out):
     out.write("}\n")
 
 
-def cmd_classes(args, out):
-    res = run_pipeline(_load(args.file))
-    if args.json:
-        _print_json(_json_payload(res), out)
-    else:
-        for i, cid in enumerate(res.labeling.class_id):
-            out.write("%s %d\n" % (_label(i), cid))
-    return 0
+def _write_classes(res, out):
+    for i, cid in enumerate(res.labeling.class_id.tolist()):
+        out.write("%s %d\n" % (_label(i), cid))
 
 
-def cmd_max(args, out):
-    res = run_pipeline(_load(args.file))
-    if args.json:
-        _print_json(_json_payload(res), out)
-    else:
-        for i, v in enumerate(res.maxes.values):
-            out.write("%s -> %s\n" % (_label(i), "none" if v is None else _label(v)))
-    return 0
+def _write_max(res, out):
+    for i, v in enumerate(res.maxes.values):
+        out.write("%s -> %s\n" % (_label(i), "none" if v is None else _label(v)))
 
 
-def cmd_subgraph(args, out):
+def _write_subgraph(res, out):
+    for a, b in res.subgraph.edges:
+        out.write("%s %s\n" % (_label(a), _label(b)))
+
+
+def _write_forest(res, out):
+    for r, tree in zip(res.forest.roots, res.forest.tree_edges):
+        parts = " ".join("%s-%s" % (_label(a), _label(b)) for a, b in tree)
+        out.write("tree %s: %s\n" % (_label(r), parts))
+
+
+def _dot_subgraph(res, out):
+    _dot("overlap_subgraph", res.family.m, res.subgraph.edges, out)
+
+
+def _dot_forest(res, out):
+    edges = [e for tree in res.forest.tree_edges for e in tree]
+    _dot("spanning_forest", res.family.m, edges, out)
+
+
+def cmd_family(args, out):
+    """classes, max, subgraph and forest: load, run, then write the result
+    as DOT, JSON or the command's text format."""
     res = run_pipeline(_load(args.file))
     if args.dot:
-        _dot("overlap_subgraph", res.family.m, res.subgraph.edges, out)
+        args.dot(res, out)
     elif args.json:
-        _print_json(_json_payload(res), out)
+        _print_json(_json_payload(res, args.command == "forest"), out)
     else:
-        for a, b in res.subgraph.edges:
-            out.write("%s %s\n" % (_label(a), _label(b)))
-    return 0
-
-
-def cmd_forest(args, out):
-    res = run_pipeline(_load(args.file))
-    forest = res.forest
-    if args.dot:
-        edges = [e for tree in forest.tree_edges for e in tree]
-        _dot("spanning_forest", res.family.m, edges, out)
-    elif args.json:
-        payload = _json_payload(res)
-        payload["forest"] = [
-            {"root": r + 1, "edges": [[a + 1, b + 1] for a, b in tree]}
-            for r, tree in zip(forest.roots, forest.tree_edges)
-        ]
-        _print_json(payload, out)
-    else:
-        for r, tree in zip(forest.roots, forest.tree_edges):
-            parts = " ".join("%s-%s" % (_label(a), _label(b)) for a, b in tree)
-            out.write("tree %s: %s\n" % (_label(r), parts))
+        args.write(res, out)
     return 0
 
 
@@ -213,7 +210,7 @@ def bench_one(target, seed, repeats=2):
     m = max(1, target // 8)
     n = max(4, m // 2)
     sets = gen_random_sets(n, m, seed, min_size=2, max_size=14)
-    f = SetFamily(["e%d" % i for i in range(n)], sets, validate=False)
+    f = SetFamily(["e%d" % i for i in range(n)], sets)
     sums = {}
     runs = 0
     gc.collect()
@@ -286,21 +283,21 @@ def build_parser():
         description="Identify overlap classes of a set family in linear time.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family_cmd(name, func, help_, dot=False):
+    def add_family_cmd(name, help_, write, dot=None):
         p = sub.add_parser(name, help=help_)
         p.add_argument("file", help="family input file")
         p.add_argument("--json", action="store_true", help="JSON output")
         if dot:
-            p.add_argument("--dot", action="store_true", help="DOT output")
-        p.set_defaults(func=func)
-        return p
+            p.add_argument("--dot", action="store_const", const=dot,
+                           help="DOT output")
+        p.set_defaults(func=cmd_family, write=write, dot=None)
 
-    add_family_cmd("classes", cmd_classes, "overlap class of every set")
-    add_family_cmd("max", cmd_max, "Max partner of every set")
-    add_family_cmd("subgraph", cmd_subgraph,
-                   "linear-size subgraph of the overlap graph", dot=True)
-    add_family_cmd("forest", cmd_forest,
-                   "spanning forest of the overlap classes", dot=True)
+    add_family_cmd("classes", "overlap class of every set", _write_classes)
+    add_family_cmd("max", "Max partner of every set", _write_max)
+    add_family_cmd("subgraph", "linear-size subgraph of the overlap graph",
+                   _write_subgraph, _dot_subgraph)
+    add_family_cmd("forest", "spanning forest of the overlap classes",
+                   _write_forest, _dot_forest)
 
     p = sub.add_parser("verify", help="differential check against the brute-force oracle")
     p.add_argument("file")
@@ -327,8 +324,8 @@ def build_parser():
 
 
 def main(argv=None, out=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, out if out is not None else sys.stdout)
     except SystemExit as exc:
         return exc.code

@@ -8,11 +8,15 @@ a subgraph of the overlap graph, so its edges mean nothing pairwise.
 
 This module also holds the one spanning-forest routine (spanning_edges)
 that the true subgraph's forest and components() share, and the one
-grouping of sets into classes (ComponentLabeling.from_roots), which the
-oracle uses too.
+grouping of sets into classes (ComponentLabeling), which the forest and
+the oracle use too.
 """
 
+from functools import cached_property
+
 import numpy as np
+
+from .family import segments
 
 __all__ = ["UnionFind", "DahlhausGraph", "ComponentLabeling",
            "build_dgraph", "components", "dedup_sorted_pairs",
@@ -136,32 +140,32 @@ class DahlhausGraph:
 
 
 class ComponentLabeling:
-    """Classes of a graph over the m sets; ids dense, ordered by smallest member."""
+    """Classes of a graph over the m sets; ids dense, ordered by smallest member.
 
-    __slots__ = ("class_id", "classes")
+    Built from root, where root[i] is any representative of set i's
+    component. class_id[i] is the class of set i; order lists the sets by
+    class and, within a class, by index, class k being
+    order[start[k]:start[k + 1]]. All three are int32 arrays; classes
+    gives the same as lists, built on first access.
+    """
 
-    def __init__(self, class_id, classes):
-        self.class_id = class_id
-        self.classes = classes
-
-    @classmethod
-    def from_roots(cls, root):
-        """Group the sets by component representative, root[i] for set i."""
-        root = np.asarray(root, dtype=np.int64)
+    def __init__(self, root):
+        root = np.asarray(root, dtype=np.int32)
         m = len(root)
-        ids = np.arange(m)
-        smallest = np.full(m, m, dtype=np.int64)
+        ids = np.arange(m, dtype=np.int32)
+        smallest = np.full(m, m, dtype=np.int32)
         np.minimum.at(smallest, root, ids)
         smallest = smallest[root]  # per set, the smallest set of its class
-        class_id = (np.cumsum(smallest == ids) - 1)[smallest]
-        members = np.argsort(class_id, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(class_id)).tolist()
-        classes = [members[a:b] for a, b in zip([0] + ends, ends)]
-        return cls(class_id.tolist(), classes)
+        self.class_id = (np.cumsum(smallest == ids, dtype=np.int32)
+                         - 1)[smallest]
+        self.order = np.argsort(self.class_id, kind="stable").astype(np.int32)
+        sizes = np.bincount(self.class_id)
+        self.start = np.zeros(len(sizes) + 1, dtype=np.int32)
+        np.cumsum(sizes, out=self.start[1:])
 
-    @classmethod
-    def from_union_find(cls, uf, m):
-        return cls.from_roots([uf.find(i) for i in range(m)])
+    @cached_property
+    def classes(self):
+        return segments(self.order.tolist(), self.start)
 
     def as_partition(self):
         """Classes as a set of frozensets, for order-insensitive comparison."""
@@ -182,7 +186,7 @@ def build_dgraph(f, sl, maxes):
     flat = sl.flat
     if len(flat) < 2:
         return DahlhausGraph(m, [], 0)
-    sizes = np.frombuffer(f.sizes, dtype=np.int32).astype(np.int64)
+    sizes = f.sizes.astype(np.int64)
     mx = maxes.partners
     mx_size = np.where(mx >= 0, sizes[mx], 0)
     seg = np.repeat(np.arange(f.n, dtype=np.int64), np.diff(sl.offsets))
@@ -204,4 +208,4 @@ def build_dgraph(f, sl, maxes):
 
 def components(g, m):
     a, b = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
-    return ComponentLabeling.from_roots(spanning_edges(a, b, m)[0])
+    return ComponentLabeling(spanning_edges(a, b, m)[0])

@@ -5,7 +5,9 @@ to dense indices; all algorithms downstream work on indices only and the
 original tokens are kept solely for output.
 """
 
+import io
 from array import array
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -18,6 +20,7 @@ __all__ = [
     "parse_family",
     "lf_order",
     "build_sl_lists",
+    "segments",
 ]
 
 
@@ -31,43 +34,60 @@ class FamilyFormatError(ValueError):
         self.line_no = line_no
 
 
+def segments(values, offsets):
+    """values cut into pieces: piece i is values[offsets[i]:offsets[i + 1]]."""
+    offs = offsets.tolist()
+    return [values[a:b] for a, b in zip(offs, offs[1:])]
+
+
+def _intern(rows, index):
+    """Per row, the indices of its distinct labels in first-appearance order.
+
+    index maps each label seen so far to its index; a new label takes the
+    next free one.
+    """
+    return [[index.setdefault(label, len(index))
+             for label in dict.fromkeys(row)] for row in rows]
+
+
 class SetFamily:
     """A family of m non-empty subsets over an interned universe of n elements.
 
     tokens: original element names, indexed 0..n-1.
-    sets: m lists of distinct element indices.
-    total_size: sum of all set cardinalities (written |F| in the docs).
-    elems, offsets: the same sets in flat (CSR) form, set i being
-    elems[offsets[i]:offsets[i + 1]]; the numpy layers read these.
+    elems, offsets: the sets in flat (CSR) form, set i being
+    elems[offsets[i]:offsets[i + 1]] (int32 and int64 arrays).
+    sizes: int32 set cardinalities; total_size is their sum (|F|).
+    sets: the same sets as m lists of element indices, built on first
+    access.
     """
 
-    __slots__ = ("tokens", "sets", "sizes", "n", "m", "total_size",
-                 "elems", "offsets")
-
-    def __init__(self, tokens, sets, validate=True):
+    def __init__(self, tokens, sets):
         self.tokens = list(tokens)
-        self.sets = [list(s) for s in sets]
         self.n = len(self.tokens)
-        self.m = len(self.sets)
-        if not self.sets:
+        self.m = len(sets)
+        if not self.m:
             raise ValueError("family has no sets")
-        self.sizes = array("i", [len(s) for s in self.sets])
-        self.total_size = sum(self.sizes)
-        if validate:
-            for s in self.sets:
-                if not s:
-                    raise ValueError("empty set in family")
-                if len(set(s)) != len(s):
-                    raise ValueError("duplicate element within a set")
-                for e in s:
-                    if not 0 <= e < self.n:
-                        raise ValueError(
-                            "element index %r out of range" % (e,))
-        self.elems = np.fromiter(chain.from_iterable(self.sets),
-                                 dtype=np.int32, count=self.total_size)
+        self.sizes = np.fromiter(map(len, sets), dtype=np.int32, count=self.m)
         self.offsets = np.zeros(self.m + 1, dtype=np.int64)
-        np.cumsum(np.frombuffer(self.sizes, dtype=np.int32),
-                  out=self.offsets[1:])
+        np.cumsum(self.sizes, out=self.offsets[1:])
+        self.total_size = int(self.offsets[-1])
+        self.elems = np.fromiter(chain.from_iterable(sets), dtype=np.int32,
+                                 count=self.total_size)
+        if not self.sizes.all():
+            raise ValueError("empty set in family")
+        outside = (self.elems < 0) | (self.elems >= self.n)
+        if outside.any():
+            raise ValueError("element index %r out of range"
+                             % (int(self.elems[outside.argmax()]),))
+        keys = np.repeat(np.arange(self.m, dtype=np.int64) * self.n,
+                         self.sizes) + self.elems
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("duplicate element within a set")
+
+    @cached_property
+    def sets(self):
+        return segments(self.elems.tolist(), self.offsets)
 
     @classmethod
     def from_elements(cls, sets, extra_universe=()):
@@ -77,28 +97,9 @@ class SetFamily:
         declares elements that may appear in no set.
         """
         index = {}
-        tokens = []
-
-        def intern(label):
-            i = index.get(label)
-            if i is None:
-                i = index[label] = len(tokens)
-                tokens.append(str(label))
-            return i
-
-        interned = []
-        for s in sets:
-            seen = set()
-            elems = []
-            for label in s:
-                e = intern(label)
-                if e not in seen:
-                    seen.add(e)
-                    elems.append(e)
-            interned.append(elems)
-        for label in extra_universe:
-            intern(label)
-        return cls(tokens, interned)
+        interned = _intern(sets, index)
+        _intern([extra_universe], index)
+        return cls([str(label) for label in index], interned)
 
     def as_frozensets(self):
         return [frozenset(s) for s in self.sets]
@@ -121,7 +122,7 @@ class LFOrder:
         rank[order] = np.arange(len(order))
         self.order = order.tolist()
         self.rank = rank.tolist()
-        lens = np.frombuffer(f.sizes, dtype=np.int32)[order]
+        lens = f.sizes[order]
         ends = np.cumsum(lens)
         gather = np.arange(f.total_size) + np.repeat(
             f.offsets[:-1][order] - (ends - lens), lens)
@@ -155,15 +156,10 @@ class SLLists:
 
     @property
     def lists(self):
-        flat = self.flat.tolist()
-        offs = self.offsets.tolist()
-        return [flat[a:b] for a, b in zip(offs, offs[1:])]
+        return segments(self.flat.tolist(), self.offsets)
 
     def __getitem__(self, v):
         return self.flat[self.offsets[v]:self.offsets[v + 1]].tolist()
-
-    def __len__(self):
-        return len(self.offsets) - 1
 
     def contains(self, elems, sets):
         """Per query i, whether set sets[i] contains element elems[i].
@@ -185,53 +181,39 @@ class SLLists:
 def parse_family(source):
     """Parse the family text format into a SetFamily.
 
-    One set per line, elements as whitespace-separated tokens. A line
-    whose first non-blank character is '#' is a comment; a '#' anywhere
-    else is an ordinary token. A line whose first token is exactly
-    '!universe' declares the elements after it, which may appear in no
-    set. Duplicate tokens within a line are dropped; an empty (or
-    whitespace-only) line is rejected because it would denote an empty
-    set.
+    One set per line, elements as whitespace-separated tokens. Lines end
+    at LF, CR LF or CR only, the line ends of a text-mode read; any other
+    line-break character (form feed, U+2028, ...) is whitespace inside a
+    line. A line whose first non-blank character is '#' is a comment; a
+    '#' anywhere else is an ordinary token. A line whose first token is exactly '!universe'
+    declares the elements after it, which may appear in no set. Duplicate
+    tokens within a line are dropped; an empty (or whitespace-only) line
+    is rejected because it would denote an empty set.
     """
     text = source.read() if hasattr(source, "read") else source
     index = {}
-    tokens = []
 
-    def intern(tok):
-        i = index.get(tok)
-        if i is None:
-            i = index[tok] = len(tokens)
-            tokens.append(tok)
-        return i
+    def rows():
+        for line_no, line in enumerate(io.StringIO(text, newline=None), 1):
+            toks = line.split()
+            if not toks:
+                raise FamilyFormatError("empty set", line_no)
+            if toks[0].startswith("#"):
+                continue
+            if toks[0] == "!universe":
+                _intern([toks[1:]], index)
+                continue
+            yield toks
 
-    sets = []
-    for line_no, line in enumerate(text.splitlines(), 1):
-        toks = line.split()
-        if not toks:
-            raise FamilyFormatError("empty set", line_no)
-        if toks[0].startswith("#"):
-            continue
-        if toks[0] == "!universe":
-            for tok in toks[1:]:
-                intern(tok)
-            continue
-        seen = set()
-        elems = []
-        for t in toks:
-            e = intern(t)
-            if e not in seen:
-                seen.add(e)
-                elems.append(e)
-        sets.append(elems)
+    sets = _intern(rows(), index)
     if not sets:
         raise FamilyFormatError("no sets in input")
-    return SetFamily(tokens, sets)
+    return SetFamily(list(index), sets)
 
 
 def lf_order(f):
     """Sort the sets by decreasing size, stable on input index."""
-    sizes = np.frombuffer(f.sizes, dtype=np.int32)
-    return LFOrder(f, np.argsort(-sizes, kind="stable"))
+    return LFOrder(f, np.argsort(-f.sizes, kind="stable"))
 
 
 def build_sl_lists(f, lf):
@@ -243,7 +225,7 @@ def build_sl_lists(f, lf):
     """
     m = f.m
     revrank = (m - 1) - np.asarray(lf.rank, dtype=np.int64)
-    owner = np.repeat(revrank, np.frombuffer(f.sizes, dtype=np.int32))
+    owner = np.repeat(revrank, f.sizes)
     keys = f.elems.astype(np.int64) * m + owner
     keys.sort()
     order = np.asarray(lf.order, dtype=np.int32)

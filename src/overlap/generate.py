@@ -30,6 +30,8 @@ def gen_random_sets(n, m, seed, min_size=1, max_size=None):
         raise ValueError("random needs n >= 1 and m >= 1")
     hi = n if max_size is None else min(max_size, n)
     lo = min(min_size, hi)
+    if lo < 1:
+        raise ValueError("random needs set sizes of at least 1")
     rng = random.Random(seed)
     pool = range(n)
     return [rng.sample(pool, rng.randint(lo, hi)) for _ in range(m)]

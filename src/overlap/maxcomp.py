@@ -64,27 +64,28 @@ class Bounds:
 
 
 class MaxAssignment:
-    """Per set, the index of its Max partner, or None.
+    """Per set, the index of its Max partner.
 
-    partners holds the same as an int32 array, with -1 for None.
+    partners is an int32 array with -1 for a set without Max; values gives
+    the same as a list with None there, built on each read.
     """
 
-    __slots__ = ("values", "partners")
+    __slots__ = ("partners",)
 
-    def __init__(self, values):
-        self.values = list(values)
-        self.partners = np.array(
-            [-1 if v is None else v for v in self.values], dtype=np.int32)
+    def __init__(self, partners):
+        self.partners = np.asarray(partners, dtype=np.int32)
+
+    @property
+    def values(self):
+        return [None if v < 0 else v for v in self.partners.tolist()]
 
     def __getitem__(self, i):
-        return self.values[i]
-
-    def __len__(self):
-        return len(self.values)
+        v = int(self.partners[i])
+        return None if v < 0 else v
 
     def __eq__(self, other):
         if isinstance(other, MaxAssignment):
-            return self.values == other.values
+            return np.array_equal(self.partners, other.partners)
         return NotImplemented
 
     def __repr__(self):
@@ -140,7 +141,7 @@ def compute_max(f, lf, pf, bounds, am):
     after it. Each cursor step retires one set, so the pass is O(n + |F|).
     """
     order = lf.order
-    sizes = f.sizes
+    sizes = array("i", f.sizes.tobytes())
     sets = array("i", am.sets.tobytes())
     left = array("i", bounds.left[am.sets].tobytes())
     cursor = array("i", am.start[:-1].tobytes())
@@ -165,4 +166,4 @@ def compute_max(f, lf, pf, bounds, am):
                     c += 1
                 cursor[q] = c
                 front[q] = left[c] if c < stop else f.n
-    return MaxAssignment([None if v < 0 else v for v in maxes])
+    return MaxAssignment(np.frombuffer(maxes, dtype=np.int32))

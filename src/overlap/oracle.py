@@ -71,22 +71,23 @@ def overlap_graph_full(f, cap=None):
             if overlaps(si, sets[j]):
                 edges.append((i, j))
                 uf.union(i, j)
-    return OverlapGraphFull(edges, ComponentLabeling.from_union_find(uf, f.m))
+    return OverlapGraphFull(
+        edges, ComponentLabeling([uf.find(i) for i in range(f.m)]))
 
 
 def max_oracle(f, lf):
     """The Max definition applied literally: earliest LF set of size >= |X| overlapping X."""
     sets = f.as_frozensets()
-    sizes = f.sizes
-    values = []
+    sizes = f.sizes.tolist()
+    partners = []
     for x in range(f.m):
         sx = sets[x]
-        found = None
+        found = -1
         for y in lf.order:
             if sizes[y] < sizes[x]:
                 break
             if y != x and overlaps(sx, sets[y]):
                 found = y
                 break
-        values.append(found)
-    return MaxAssignment(values)
+        partners.append(found)
+    return MaxAssignment(partners)

@@ -9,9 +9,12 @@ membership tests into a guaranteed overlap edge.
 Quintuples and edge endpoints are kept as flat parallel numpy arrays.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .dgraph import ComponentLabeling, dedup_sorted_pairs, spanning_edges
+from .family import segments
 
 __all__ = [
     "OverlapSubgraph",
@@ -46,21 +49,37 @@ class OverlapSubgraph:
         return self._edges
 
 
-class SpanningForest:
-    """One spanning tree per overlap class.
+class SpanningForest(ComponentLabeling):
+    """The overlap classes as a labeling, plus one spanning tree per class.
 
-    Parallel lists ordered by root: roots[i] is the smallest set index of
-    class i, members[i] its sets, tree_edges[i] its |class|-1 tree edges.
-    class_id[s] is the index of set s's tree.
+    Class k's tree edges are (a[j], b[j]) for j in edge_start[k] ..
+    edge_start[k + 1] - 1, in the subgraph's sorted order. As lists:
+    roots[k] is the smallest set of class k, members[k] (the same list as
+    classes[k]) its sets and tree_edges[k] its |class| - 1 edges; these
+    are built on first access.
     """
 
-    __slots__ = ("roots", "members", "tree_edges", "class_id")
+    def __init__(self, root, a, b):
+        super().__init__(root)
+        tree = self.class_id[a]
+        by_class = np.argsort(tree, kind="stable")
+        self.a = a[by_class]
+        self.b = b[by_class]
+        self.edge_start = np.zeros_like(self.start)
+        np.cumsum(np.bincount(tree, minlength=len(self.start) - 1),
+                  out=self.edge_start[1:])
 
-    def __init__(self, roots, members, tree_edges, class_id):
-        self.roots = roots
-        self.members = members
-        self.tree_edges = tree_edges
-        self.class_id = class_id
+    @property
+    def roots(self):
+        return self.order[self.start[:-1]].tolist()
+
+    @property
+    def members(self):
+        return self.classes
+
+    @cached_property
+    def tree_edges(self):
+        return segments(_pairs(self.a, self.b), self.edge_start)
 
 
 def _nearest_cover(reach, need, starts):
@@ -107,7 +126,7 @@ def _collect(f, sl, maxes):
     if not len(has):  # no set has a Max, so no interval covers anything
         return ea, eb, has, has
 
-    sizes = np.frombuffer(f.sizes, dtype=np.int32)
+    sizes = f.sizes
     reach = np.where(mx >= 0, sizes[mx], 0).astype(
         np.min_scalar_type(sizes.max()))
     flat = sl.flat
@@ -170,15 +189,4 @@ def spanning_forest(g, m):
     and list their edges in the subgraph's sorted order.
     """
     root, kept = spanning_edges(g.a, g.b, m)
-    labeling = ComponentLabeling.from_roots(root)
-    ta = g.a[kept]
-    tb = g.b[kept]
-    class_id = np.asarray(labeling.class_id)
-    by_class = np.argsort(class_id[ta], kind="stable")
-    edges = _pairs(ta[by_class], tb[by_class])
-    ends = np.cumsum(np.bincount(class_id[ta],
-                                 minlength=len(labeling.classes))).tolist()
-    tree_edges = [edges[a:b] for a, b in zip([0] + ends, ends)]
-    roots = [c[0] for c in labeling.classes]
-    return SpanningForest(roots, labeling.classes, tree_edges,
-                          labeling.class_id)
+    return SpanningForest(root, g.a[kept], g.b[kept])

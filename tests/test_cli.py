@@ -191,7 +191,7 @@ class TestBench:
 
 
 @pytest.mark.parametrize("case", ["oracle_cap", "bench_sizes", "gen_out",
-                                  "non_utf8"])
+                                  "non_utf8", "gen_max_size_0"])
 def test_bad_input_or_setting_exits_2(case, fam_a_file, tmp_path,
                                       monkeypatch, capsys):
     if case == "oracle_cap":
@@ -201,6 +201,8 @@ def test_bad_input_or_setting_exits_2(case, fam_a_file, tmp_path,
         argv = ["bench", "--sizes", "1,x"]
     elif case == "gen_out":
         argv = ["gen", "star", "--out", str(tmp_path / "missing" / "x")]
+    elif case == "gen_max_size_0":
+        argv = ["gen", "random", "--max-size", "0"]
     else:
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"caf\xe9 1\n")
@@ -209,6 +211,19 @@ def test_bad_input_or_setting_exits_2(case, fam_a_file, tmp_path,
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bad_flag_returns_2(capsys):
+    code, out = run_cli("bench", "--bogus")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+def test_help_returns_0(capsys):
+    code, _ = run_cli("--help")
+    assert code == 0
+    assert capsys.readouterr().out.startswith("usage: overlap")
 
 
 def test_json_byte_identical_across_processes(fam_a_file):

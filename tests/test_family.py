@@ -43,6 +43,20 @@ class TestParse:
         f = parse_family("1 2 # c\n")
         assert [f.tokens[e] for e in f.sets[0]] == ["1", "2", "#", "c"]
 
+    def test_only_newlines_end_lines(self):
+        f = parse_family("1 2\x0c3 4\n")
+        assert f.m == 1
+        assert [f.tokens[e] for e in f.sets[0]] == ["1", "2", "3", "4"]
+
+    def test_vertical_tab_is_whitespace(self):
+        f = parse_family("1 2\x0b\n")
+        assert f.m == 1
+        assert [f.tokens[e] for e in f.sets[0]] == ["1", "2"]
+
+    def test_cr_and_crlf_end_lines(self):
+        f = parse_family("a b\r\nb c\rc d\n")
+        assert f.m == 3
+
     def test_empty_line_rejected_with_line_number(self):
         with pytest.raises(FamilyFormatError) as exc:
             parse_family("a b\n\nb c\n")
