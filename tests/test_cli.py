@@ -7,9 +7,11 @@ import sys
 import pytest
 
 import overlap.cli as cli
+from overlap.family import parse_family
+from overlap.pipeline import run_pipeline
 from overlap.generate import gen_blocks, gen_nested, gen_random, gen_star
 
-from conftest import FAM_A_TEXT
+from conftest import FAM_A_TEXT, random_family, seeded_rng
 
 
 def run_cli(*argv):
@@ -285,3 +287,43 @@ def test_output_bytes_golden(mode, tmp_path):
         assert code == 0
         digest.update(out.encode("utf-8"))
     assert digest.hexdigest() == GOLDEN_SHA256[mode]
+
+
+def reference_json(res, with_forest):
+    """The --json bytes as json.dumps wrote them from Python lists."""
+    payload = {
+        "classes": [[i + 1 for i in c] for c in res.labeling.classes],
+        "max": [None if v < 0 else v + 1 for v in res.maxes.partners.tolist()],
+        "edges": [[a + 1, b + 1] for a, b in res.subgraph.edges],
+    }
+    if with_forest:
+        payload["forest"] = [
+            {"root": r + 1, "edges": [[a + 1, b + 1] for a, b in tree]}
+            for r, tree in zip(res.forest.roots, res.forest.tree_edges)
+        ]
+    return json.dumps(payload, separators=(", ", ": ")) + "\n"
+
+
+def family_text(f):
+    return "".join(" ".join(f.tokens[e] for e in s) + "\n" for s in f.sets)
+
+
+def test_json_matches_json_dumps_random(tmp_path):
+    rng = seeded_rng(59)
+    texts = [
+        "a\n",                    # m = 1
+        "a b\nc\nd e\n",         # no edges, every set its own class
+        gen_nested(6),              # no edges, no Max
+        gen_star(7),
+        FAM_A_TEXT,
+    ]
+    texts += [family_text(random_family(rng, max_n=20, max_m=30))
+              for _ in range(120)]
+    path = tmp_path / "fam.txt"
+    for text in texts:
+        path.write_text(text)
+        res = run_pipeline(parse_family(text))
+        for command in ("classes", "forest"):
+            code, out = run_cli(command, "--json", str(path))
+            assert code == 0
+            assert out == reference_json(res, command == "forest"), text

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,3 +159,78 @@ def test_orders_deterministic():
     lf1, lf2 = lf_order(f), lf_order(g)
     assert lf1.order == lf2.order
     assert build_sl_lists(f, lf1).lists == build_sl_lists(g, lf2).lists
+
+
+def intern_rows(rows, index):
+    """The per-row interning the array parse replaced."""
+    return [[index.setdefault(label, len(index))
+             for label in dict.fromkeys(row)] for row in rows]
+
+
+def reference_parse(text):
+    """parse_family as it was before the parse interned into arrays."""
+    index = {}
+
+    def rows():
+        for line_no, line in enumerate(io.StringIO(text, newline=None), 1):
+            toks = line.split()
+            if not toks:
+                raise FamilyFormatError("empty set", line_no)
+            if toks[0].startswith("#"):
+                continue
+            if toks[0] == "!universe":
+                intern_rows([toks[1:]], index)
+                continue
+            yield toks
+
+    sets = intern_rows(rows(), index)
+    if not sets:
+        raise FamilyFormatError("no sets in input")
+    return SetFamily(list(index), sets)
+
+
+def random_family_text(rng):
+    """A family text with repeated tokens, comments, !universe lines, CR and
+    CR LF line ends, and line-break characters that are not line ends."""
+    pool = ["a", "b", "c", "d", "e", "f", "#", "!universe", "x1", "\u00e9"]
+    blanks = [" ", " ", "\t", "\x0b", "\x0c", "\u2028", "\x1c", "\x85"]
+    lines = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append(rng.choice(["# note", "  #x a b", "#"]))
+            continue
+        toks = [rng.choice(pool) for _ in range(rng.randint(1, 7))]
+        if kind < 0.25:
+            toks.insert(0, "!universe")
+        elif toks[0].startswith("#"):
+            toks[0] = "z"
+        lines.append(rng.choice(blanks).join(toks) + rng.choice(["", " "]))
+    if rng.random() < 0.15:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["", " ", "\x0b"]))
+    ends = [rng.choice(["\n", "\r\n", "\r"]) for _ in lines]
+    if rng.random() < 0.3:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def test_parse_matches_per_line_interning_random():
+    rng = seeded_rng(53)
+    errors = 0
+    for _ in range(600):
+        text = random_family_text(rng)
+        try:
+            want = reference_parse(text)
+        except FamilyFormatError as exc:
+            errors += 1
+            with pytest.raises(FamilyFormatError) as got:
+                parse_family(text)
+            assert (got.value.line_no, str(got.value)) \
+                == (exc.line_no, str(exc)), repr(text)
+            continue
+        got = parse_family(text)
+        assert got.tokens == want.tokens, repr(text)
+        assert got.elems.tolist() == want.elems.tolist(), repr(text)
+        assert got.sizes.tolist() == want.sizes.tolist(), repr(text)
+        assert got.offsets.tolist() == want.offsets.tolist(), repr(text)
+    assert 0 < errors < 300
