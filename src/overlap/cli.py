@@ -7,8 +7,11 @@ Exit codes: 0 ok, 1 verify mismatch, 2 input error, 3 oracle cap exceeded.
 import argparse
 import gc
 import json
+import signal
 import subprocess
 import sys
+
+import numpy as np
 
 from .family import FamilyFormatError, SetFamily, parse_family
 from .generate import (gen_blocks, gen_nested, gen_random,
@@ -40,32 +43,66 @@ def _load(path):
         _input_error(exc)
 
 
-def _json_payload(res, with_forest):
-    payload = {
-        "classes": [[i + 1 for i in c] for c in res.labeling.classes],
-        "max": [None if v < 0 else v + 1 for v in res.maxes.partners.tolist()],
-        "edges": [[a + 1, b + 1] for a, b in res.subgraph.edges],
-    }
+def _rows(template, *cols):
+    """template once per row of the columns, each number written plus 1."""
+    values = np.column_stack(cols).ravel() + 1
+    return (template * len(cols[0])) % tuple(values.tolist())
+
+
+def _groups(templates, heads, start, *cols):
+    """Groups as text: group k is heads[k], then rows start[k] to
+    start[k + 1] - 1 of the columns; every number is written plus 1.
+
+    templates are the patterns of a head with rows, a head without rows,
+    a row and a group's last row. The pattern of each place is picked
+    with numpy and all numbers are filled in by one % format, so no
+    Python object is built per group or per row.
+    """
+    rows = np.column_stack(cols)
+    count = np.diff(start)
+    code = np.full(len(rows), 2, dtype=np.int8)
+    code[start[1:][count > 0] - 1] = 3
+    code = np.insert(code, start[:-1], count == 0)
+    values = np.insert(rows.ravel(), rows.shape[1] * start[:-1], heads) + 1
+    return "".join(map(templates.__getitem__, code.tolist())) % tuple(
+        values.tolist())
+
+
+def _trees(res, templates):
+    fo = res.forest
+    return _groups(templates, fo.order[fo.start[:-1]], fo.edge_start,
+                   fo.a, fo.b)
+
+
+def _write_json(res, with_forest, out):
+    """Classes, Max, subgraph edges and, with_forest, the trees as one JSON
+    object with 1-based set numbers, formatted straight from the result
+    arrays; the bytes are those of json.dumps with (", ", ": ")."""
+    lab = res.labeling
+    first = lab.start[:-1]
+    mx = res.maxes.partners
+    out.write('{"classes": [')
+    # each class as its root, the smallest member, then the others
+    out.write(_groups(("[%d, ", "[%d], ", "%d, ", "%d], "), lab.order[first],
+                      lab.start - np.arange(len(lab.start)),
+                      np.delete(lab.order, first))[:-2])
+    out.write('], "max": [')
+    out.write(", ".join(map(("%d", "null").__getitem__, (mx < 0).tolist()))
+              % tuple((mx[mx >= 0] + 1).tolist()))
+    out.write('], "edges": [')
+    out.write(_rows("[%d, %d], ", res.subgraph.a, res.subgraph.b)[:-2])
     if with_forest:
-        payload["forest"] = [
-            {"root": r + 1, "edges": [[a + 1, b + 1] for a, b in tree]}
-            for r, tree in zip(res.forest.roots, res.forest.tree_edges)
-        ]
-    return payload
+        out.write('], "forest": [')
+        out.write(_trees(res, ('{"root": %d, "edges": [',
+                               '{"root": %d, "edges": []}, ',
+                               "[%d, %d], ", "[%d, %d]]}, "))[:-2])
+    out.write("]}\n")
 
 
-def _print_json(payload, out):
-    # json.dump would stream through the pure-Python encoder
-    out.write(json.dumps(payload, separators=(", ", ": ")))
-    out.write("\n")
-
-
-def _dot(name, m, edges, out):
+def _dot(name, m, a, b, out):
     out.write("graph %s {\n" % name)
-    for i in range(m):
-        out.write("  %s;\n" % _label(i))
-    for a, b in edges:
-        out.write("  %s -- %s;\n" % (_label(a), _label(b)))
+    out.write(("  X%d;\n" * m) % tuple(range(1, m + 1)))
+    out.write(_rows("  X%d -- X%d;\n", a, b))
     out.write("}\n")
 
 
@@ -80,23 +117,21 @@ def _write_max(res, out):
 
 
 def _write_subgraph(res, out):
-    for a, b in res.subgraph.edges:
-        out.write("%s %s\n" % (_label(a), _label(b)))
+    out.write(_rows("X%d X%d\n", res.subgraph.a, res.subgraph.b))
 
 
 def _write_forest(res, out):
-    for r, tree in zip(res.forest.roots, res.forest.tree_edges):
-        parts = " ".join("%s-%s" % (_label(a), _label(b)) for a, b in tree)
-        out.write("tree %s: %s\n" % (_label(r), parts))
+    out.write(_trees(res, ("tree X%d: ", "tree X%d: \n", "X%d-X%d ",
+                           "X%d-X%d\n")))
 
 
 def _dot_subgraph(res, out):
-    _dot("overlap_subgraph", res.family.m, res.subgraph.edges, out)
+    _dot("overlap_subgraph", res.family.m, res.subgraph.a, res.subgraph.b,
+         out)
 
 
 def _dot_forest(res, out):
-    edges = [e for tree in res.forest.tree_edges for e in tree]
-    _dot("spanning_forest", res.family.m, edges, out)
+    _dot("spanning_forest", res.family.m, res.forest.a, res.forest.b, out)
 
 
 def cmd_family(args, out):
@@ -106,7 +141,7 @@ def cmd_family(args, out):
     if args.dot:
         args.dot(res, out)
     elif args.json:
-        _print_json(_json_payload(res, args.command == "forest"), out)
+        _write_json(res, args.command == "forest", out)
     else:
         args.write(res, out)
     return 0
@@ -332,4 +367,8 @@ def main(argv=None, out=None):
 
 
 def entry():
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that stops early (overlap ... | head) ends the run
+        # quietly, as it ends cat, instead of a BrokenPipeError traceback
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

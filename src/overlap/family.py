@@ -6,9 +6,10 @@ original tokens are kept solely for output.
 """
 
 import io
+import operator
 from array import array
+from collections import defaultdict
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -40,14 +41,22 @@ def segments(values, offsets):
     return [values[a:b] for a, b in zip(offs, offs[1:])]
 
 
-def _intern(rows, index):
-    """Per row, the indices of its distinct labels in first-appearance order.
+def _flatten(rows, lookup):
+    """lookup of every label of the rows, end to end, and each row's length.
 
-    index maps each label seen so far to its index; a new label takes the
-    next free one.
+    Both come back as int32 arrays, filled one row at a time in a C-level
+    pass, with no Python object kept per label. parse_family and
+    from_elements look labels up in a defaultdict whose default_factory
+    is its own __len__, which numbers each label on first appearance.
     """
-    return [[index.setdefault(label, len(index))
-             for label in dict.fromkeys(row)] for row in rows]
+    elems = array("i")
+    sizes = array("i")
+    for row in rows:
+        before = len(elems)
+        elems.extend(map(lookup, row))
+        sizes.append(len(elems) - before)
+    return (np.frombuffer(elems, dtype=np.int32),
+            np.frombuffer(sizes, dtype=np.int32))
 
 
 class SetFamily:
@@ -62,28 +71,51 @@ class SetFamily:
     """
 
     def __init__(self, tokens, sets):
+        """sets are sequences of element indices; unlike parse_family and
+        from_elements, an element repeated within a set is an error."""
+        elems, sizes = _flatten(sets, operator.index)
+        self._store(tokens, elems, sizes)
+        if self.total_size < len(elems):
+            raise ValueError("duplicate element within a set")
+
+    def _store(self, tokens, elems, sizes):
+        """Keep the sets given flat; an element repeated within its set is
+        dropped, and its first place kept."""
         self.tokens = list(tokens)
         self.n = len(self.tokens)
-        self.m = len(sets)
+        self.m = len(sizes)
         if not self.m:
             raise ValueError("family has no sets")
-        self.sizes = np.fromiter(map(len, sets), dtype=np.int32, count=self.m)
-        self.offsets = np.zeros(self.m + 1, dtype=np.int64)
-        np.cumsum(self.sizes, out=self.offsets[1:])
-        self.total_size = int(self.offsets[-1])
-        self.elems = np.fromiter(chain.from_iterable(sets), dtype=np.int32,
-                                 count=self.total_size)
-        if not self.sizes.all():
+        if not sizes.all():
             raise ValueError("empty set in family")
-        outside = (self.elems < 0) | (self.elems >= self.n)
+        outside = (elems < 0) | (elems >= self.n)
         if outside.any():
             raise ValueError("element index %r out of range"
-                             % (int(self.elems[outside.argmax()]),))
+                             % (int(elems[outside.argmax()]),))
+        # a stable sort of set * n + element keys puts the repeats of an
+        # element within its set right after it
         keys = np.repeat(np.arange(self.m, dtype=np.int64) * self.n,
-                         self.sizes) + self.elems
-        keys.sort()
-        if (keys[1:] == keys[:-1]).any():
-            raise ValueError("duplicate element within a set")
+                         sizes) + elems
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        rep = np.zeros(len(keys), dtype=bool)
+        rep[order[1:]] = keys[1:] == keys[:-1]
+        if rep.any():
+            owner = np.repeat(np.arange(self.m), sizes)
+            sizes = sizes - np.bincount(owner[rep], minlength=self.m).astype(
+                np.int32)
+            elems = elems[~rep]
+        self.elems = elems
+        self.sizes = sizes
+        self.offsets = np.zeros(self.m + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self.offsets[1:])
+        self.total_size = int(self.offsets[-1])
+
+    @classmethod
+    def _flat(cls, tokens, elems, sizes):
+        f = cls.__new__(cls)
+        f._store(tokens, elems, sizes)
+        return f
 
     @cached_property
     def sets(self):
@@ -93,13 +125,15 @@ class SetFamily:
     def from_elements(cls, sets, extra_universe=()):
         """Build a family from iterables of arbitrary hashable labels.
 
-        Labels are interned in first-appearance order; extra_universe
-        declares elements that may appear in no set.
+        Labels are interned in first-appearance order and a label repeated
+        within a set is dropped; extra_universe declares elements that may
+        appear in no set.
         """
-        index = {}
-        interned = _intern(sets, index)
-        _intern([extra_universe], index)
-        return cls([str(label) for label in index], interned)
+        index = defaultdict()
+        index.default_factory = index.__len__
+        elems, sizes = _flatten(sets, index.__getitem__)
+        _flatten([extra_universe], index.__getitem__)
+        return cls._flat([str(label) for label in index], elems, sizes)
 
     def as_frozensets(self):
         return [frozenset(s) for s in self.sets]
@@ -191,7 +225,8 @@ def parse_family(source):
     is rejected because it would denote an empty set.
     """
     text = source.read() if hasattr(source, "read") else source
-    index = {}
+    index = defaultdict()
+    index.default_factory = index.__len__
 
     def rows():
         for line_no, line in enumerate(io.StringIO(text, newline=None), 1):
@@ -201,14 +236,14 @@ def parse_family(source):
             if toks[0].startswith("#"):
                 continue
             if toks[0] == "!universe":
-                _intern([toks[1:]], index)
+                _flatten([toks[1:]], index.__getitem__)
                 continue
             yield toks
 
-    sets = _intern(rows(), index)
-    if not sets:
+    elems, sizes = _flatten(rows(), index.__getitem__)
+    if not len(sizes):
         raise FamilyFormatError("no sets in input")
-    return SetFamily(list(index), sets)
+    return SetFamily._flat(list(index), elems, sizes)
 
 
 def lf_order(f):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import signal
 import subprocess
 import sys
 
@@ -235,6 +236,22 @@ def test_json_byte_identical_across_processes(fam_a_file):
     assert first.stdout == second.stdout
     assert first.stdout.strip()
 
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_reader_closing_early_ends_quietly(tmp_path):
+    path = tmp_path / "blocks.txt"
+    path.write_text(gen_blocks(20000, 30000, 2000, 1))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "overlap", "forest", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"tree X1: ")
+    proc.stdout.close()  # as head -1 does, long before the output ends
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert b"Traceback" not in err
+    assert err == b""
 
 GOLDEN_CORPUS = [
     gen_random(12, 20, 1),
