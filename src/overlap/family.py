@@ -44,19 +44,20 @@ def segments(values, offsets):
 def _flatten(rows, lookup):
     """lookup of every label of the rows, end to end, and each row's length.
 
-    Both come back as int32 arrays, filled one row at a time in a C-level
-    pass, with no Python object kept per label. parse_family and
-    from_elements look labels up in a defaultdict whose default_factory
-    is its own __len__, which numbers each label on first appearance.
+    Both come back as int32 arrays. Each row is looked up in one C-level
+    pass (list += map), which keeps only references to the ints lookup
+    returns; a list grows faster here than an array('i'), which appends
+    item by item. parse_family and from_elements look labels up in a
+    defaultdict whose default_factory is its own __len__, which numbers
+    each label on first appearance.
     """
-    elems = array("i")
-    sizes = array("i")
+    elems = []
+    sizes = []
     for row in rows:
         before = len(elems)
-        elems.extend(map(lookup, row))
+        elems += map(lookup, row)
         sizes.append(len(elems) - before)
-    return (np.frombuffer(elems, dtype=np.int32),
-            np.frombuffer(sizes, dtype=np.int32))
+    return np.array(elems, dtype=np.int32), np.array(sizes, dtype=np.int32)
 
 
 class SetFamily:

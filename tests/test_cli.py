@@ -251,7 +251,6 @@ def test_reader_closing_early_ends_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == -signal.SIGPIPE
     assert b"Traceback" not in err
-    assert err == b""
 
 GOLDEN_CORPUS = [
     gen_random(12, 20, 1),
