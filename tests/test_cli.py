@@ -9,8 +9,8 @@ import pytest
 
 import overlap.cli as cli
 from overlap.family import parse_family
-from overlap.pipeline import run_pipeline
 from overlap.generate import gen_blocks, gen_nested, gen_random, gen_star
+from overlap.pipeline import run_pipeline
 
 from conftest import FAM_A_TEXT, random_family, seeded_rng
 
@@ -237,7 +237,6 @@ def test_json_byte_identical_across_processes(fam_a_file):
     assert first.stdout.strip()
 
 
-
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
 def test_reader_closing_early_ends_quietly(tmp_path):
     path = tmp_path / "blocks.txt"
@@ -251,6 +250,7 @@ def test_reader_closing_early_ends_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == -signal.SIGPIPE
     assert b"Traceback" not in err
+
 
 GOLDEN_CORPUS = [
     gen_random(12, 20, 1),
@@ -327,9 +327,9 @@ def family_text(f):
 def test_json_matches_json_dumps_random(tmp_path):
     rng = seeded_rng(59)
     texts = [
-        "a\n",                    # m = 1
-        "a b\nc\nd e\n",         # no edges, every set its own class
-        gen_nested(6),              # no edges, no Max
+        "a\n",  # m = 1
+        "a b\nc\nd e\n",  # no edges, every set its own class
+        gen_nested(6),  # no edges, no Max
         gen_star(7),
         FAM_A_TEXT,
     ]
