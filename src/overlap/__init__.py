@@ -14,8 +14,8 @@ from .family import (FamilyFormatError, LFOrder, SetFamily, SLLists,
                      build_sl_lists, lf_order, parse_family)
 from .generate import (gen_blocks, gen_nested, gen_random, gen_random_sets,
                        gen_star)
-from .maxcomp import (AMStructure, Bounds, MaxAssignment, PfOrder, build_am,
-                      compute_bounds, compute_max, compute_pf)
+from .maxcomp import (Bounds, MaxAssignment, PfOrder, compute_bounds,
+                      compute_max, compute_pf)
 from .oracle import (OracleCapExceeded, max_oracle, overlap_graph_full,
                      overlaps)
 from .partition import OrderedPartition, SplitEvent

@@ -131,13 +131,6 @@ class DahlhausGraph:
         self.edges = edges  # deduplicated, sorted pairs (i, j) with i < j
         self.raw_edge_count = raw_edge_count
 
-    def adjacency(self):
-        adj = [[] for _ in range(self.m)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
-
 
 class ComponentLabeling:
     """Classes of a graph over the m sets; ids dense, ordered by smallest member.

@@ -143,20 +143,19 @@ class SetFamily:
 class LFOrder:
     """Set indices sorted by decreasing size; equal sizes stay in input order.
 
-    rank is the inverse permutation: rank[i] is the position of set i.
-    elems and offsets hold the sets' elements in this order, end to end:
-    set order[r] is elems[offsets[r]:offsets[r + 1]]. The two sequential
-    refinement passes walk these, so they read memory front to back.
+    order and rank are int32 arrays; rank is the inverse permutation:
+    rank[i] is the position of set i. elems and offsets hold the sets'
+    elements in this order, end to end: set order[r] is
+    elems[offsets[r]:offsets[r + 1]]. The refinement pass walks these,
+    so it reads memory front to back.
     """
 
     __slots__ = ("order", "rank", "elems", "offsets")
 
     def __init__(self, f, order):
-        order = np.asarray(order, dtype=np.int64)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        self.order = order.tolist()
-        self.rank = rank.tolist()
+        self.order = np.asarray(order, dtype=np.int32)
+        self.rank = np.empty_like(self.order)
+        self.rank[self.order] = np.arange(len(order), dtype=np.int32)
         lens = f.sizes[order]
         ends = np.cumsum(lens)
         gather = np.arange(f.total_size) + np.repeat(
@@ -260,12 +259,11 @@ def build_sl_lists(f, lf):
     along the reversed LF order.
     """
     m = f.m
-    revrank = (m - 1) - np.asarray(lf.rank, dtype=np.int64)
+    revrank = (m - 1) - lf.rank.astype(np.int64)
     owner = np.repeat(revrank, f.sizes)
     keys = f.elems.astype(np.int64) * m + owner
     keys.sort()
-    order = np.asarray(lf.order, dtype=np.int32)
-    flat = order[(m - 1) - keys % m]
+    flat = lf.order[(m - 1) - keys % m]
     offsets = np.zeros(f.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(f.elems, minlength=f.n), out=offsets[1:])
     return SLLists(flat, offsets, keys, revrank)

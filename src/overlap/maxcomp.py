@@ -1,4 +1,4 @@
-"""Linear-time computation of Max over a set family, in three passes.
+"""Computation of Max over a set family, in three passes.
 
 Max of a set X is the earliest set Y in LF order that overlaps X and has
 size >= |X| (None when no such Y exists). The passes are:
@@ -7,19 +7,17 @@ size >= |X| (None when no such Y exists). The passes are:
    the final element order sorts the conceptual membership-matrix columns
    lexicographically (that matrix is never materialized);
 2. read off, per set, the leftmost/rightmost position of its elements in
-   that order, and index all sets by their rightmost position;
-3. replay the refinement over the frozen final order; each split serves
-   the sets whose left bound falls in the prefix and right bound in the
-   new suffix part. The refiner is a served set's Max if it is at least
-   as large; otherwise the set is dropped by size for good.
+   that order;
+3. find, per set, the earliest refiner that separates its elements: the
+   minimum, over the set's window of the final order, of the LF rank
+   that put each boundary there. That refiner is the set's Max if it is
+   at least as large; otherwise the set has no Max.
 
 A part keeps its interval of the table for good: later swaps stay inside
-the parts it splits into. So every split of pass 1 falls at the same
-position of the final order, and pass 1 records its splits for pass 3 to
-replay instead of refining a second time.
+the parts it splits into. So every boundary of pass 1 lies between the
+same two positions of the final order, and pass 1 records, per position,
+the rank of the split that opened the boundary before it.
 """
-
-from array import array
 
 import numpy as np
 
@@ -28,26 +26,25 @@ from .partition import OrderedPartition
 __all__ = [
     "PfOrder",
     "Bounds",
-    "AMStructure",
     "MaxAssignment",
     "compute_pf",
     "compute_bounds",
-    "build_am",
     "compute_max",
+    "window_levels",
 ]
 
 
 class PfOrder:
     """Final element order after pass 1. elem_at and pos_f are inverse.
 
-    splits lists pass 1's splits as OrderedPartition.refine_all returns
-    them, with r the LF rank of the refining set.
+    row[j] is the LF rank of the set whose split put a boundary between
+    positions j - 1 and j, or m where no split did (int32, n entries).
     """
 
-    __slots__ = ("elem_at", "pos_f", "splits")
+    __slots__ = ("elem_at", "pos_f", "row")
 
-    def __init__(self, elem_at, splits):
-        self.splits = splits
+    def __init__(self, elem_at, row):
+        self.row = row
         self.elem_at = np.asarray(elem_at, dtype=np.int32)
         self.pos_f = np.empty_like(self.elem_at)
         self.pos_f[self.elem_at] = np.arange(len(self.elem_at), dtype=np.int32)
@@ -92,78 +89,71 @@ class MaxAssignment:
         return "MaxAssignment(%r)" % (self.values,)
 
 
-class AMStructure:
-    """Sets indexed by right bound, each position's sets by increasing left.
+def window_levels(values, span, op):
+    """Tables of window extrema of values, one per level, smallest first.
 
-    sets holds every set id sorted by (right, left, index); the sets whose
-    right bound is position q are sets[start[q]:start[q + 1]].
+    Level k holds op (np.minimum or np.maximum) over the 2**k entries
+    ending at each index, or over all entries up to an index below
+    2**k - 1. Levels are made while 2**k <= span, which is enough for
+    windows of up to span entries: one such window is two overlapping
+    windows of a single level, and a walk over whole windows of each
+    level, largest first, can step back 2 * 2**k - 1 > span - 1 entries.
+    Each level is yielded as soon as it is built.
     """
-
-    __slots__ = ("sets", "start")
-
-    def __init__(self, sets, start):
-        self.sets = sets
-        self.start = start
+    level = values
+    width = 1
+    yield level
+    while 2 * width <= span:
+        upper = level.copy()
+        op(level[width:], level[:-width], out=upper[width:])
+        level = upper
+        width *= 2
+        yield level
 
 
 def compute_pf(f, lf):
-    """Pass 1: refine the full-universe partition by every set in LF order."""
+    """Pass 1: refine the full-universe partition by every set in LF order,
+    recording at each new boundary the LF rank of the refining set."""
     p = OrderedPartition(f.n)
-    splits = p.refine_all(lf.sets())
-    return PfOrder(p.table, splits)
+    splits = np.frombuffer(p.refine_all(lf.sets()), dtype=np.int32)
+    row = np.full(f.n, f.m, dtype=np.int32)
+    row[splits[2::4] + 1] = splits[::4]
+    return PfOrder(p.table, row)
 
 
 def compute_bounds(f, pf):
-    """Pass 2a: min/max position of each set's elements in the final order."""
+    """Pass 2: min/max position of each set's elements in the final order."""
     vals = pf.pos_f[f.elems]
     starts = f.offsets[:-1]
     return Bounds(np.minimum.reduceat(vals, starts),
                   np.maximum.reduceat(vals, starts))
 
 
-def build_am(f, bounds):
-    """Pass 2b: sort the sets by (right, left, index), cut by right bound."""
-    sets = np.lexsort((bounds.left, bounds.right)).astype(np.int32)
-    start = np.zeros(f.n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(bounds.right, minlength=f.n), out=start[1:])
-    return AMStructure(sets, start)
+def compute_max(f, lf, pf, bounds):
+    """Pass 3: the earliest refiner that separates each set's elements.
 
-
-def compute_max(f, lf, pf, bounds, am):
-    """Pass 3: replay the LF refinement's splits over the frozen final order.
-
-    When a part splits at boundary l, the sets indexed under a position of
-    the new suffix part whose left bound is <= l are separated for the
-    first time. Each position's cursor walks past them, so a set is served
-    once. The refiner is its Max if it is at least as large; otherwise the
-    set is dropped by size, since later refiners are no larger. A walk
-    stops at the first set with left > l, not separated yet, as are those
-    after it. Each cursor step retires one set, so the pass is O(n + |F|).
+    Set X's elements lie at positions left(X) to right(X) of the final
+    order, ends included. A boundary that a split opened between two of
+    those positions separated X's two end elements, or lies after an
+    earlier boundary between them that did. So the earliest refiner that
+    separates X's elements has rank min row[left(X) + 1 .. right(X)],
+    and a single position, an empty window, is never separated. A window
+    of w entries is the minimum of two windows of 2**k entries from one
+    level, with 2**k <= w < 2**(k + 1), and each level answers its sets
+    as soon as it is built. The refiner is X's Max if it is at least as
+    large as X; otherwise X is dropped by size, since later refiners are
+    no larger. The pass is O((n + m) log w) numpy work for the longest
+    window w, against pass 1's Python loop over |F|.
     """
-    order = lf.order
-    sizes = array("i", f.sizes.tobytes())
-    sets = array("i", am.sets.tobytes())
-    left = array("i", bounds.left[am.sets].tobytes())
-    cursor = array("i", am.start[:-1].tobytes())
-    end = array("i", am.start[1:].tobytes())
-    front = np.full(f.n, f.n, dtype=np.int32)  # left bound at the cursor
-    np.minimum.at(front, bounds.right, bounds.left)  # n past the last set
-    front = array("i", front.tobytes())
-    maxes = array("i", [-1]) * f.m
-    splits = pf.splits
-    for i in range(0, len(splits), 4):
-        y = order[splits[i]]
-        size = sizes[y]
-        boundary = splits[i + 2]
-        for q in range(boundary + 1, splits[i + 3] + 1):
-            if front[q] <= boundary:
-                c = cursor[q]
-                stop = end[q]
-                while c < stop and left[c] <= boundary:
-                    x = sets[c]
-                    if sizes[x] <= size:
-                        maxes[x] = y
-                    c += 1
-                cursor[q] = c
-                front[q] = left[c] if c < stop else f.n
-    return MaxAssignment(np.frombuffer(maxes, dtype=np.int32))
+    left = bounds.left
+    right = bounds.right
+    width = right - left
+    level_of = np.frexp(width)[1] - 1  # -1 for an empty window
+    first = np.full(f.m, f.m, dtype=np.int32)  # m: nothing separates X
+    for k, level in enumerate(window_levels(pf.row, int(width.max()),
+                                            np.minimum)):
+        q = np.flatnonzero(level_of == k)
+        first[q] = np.minimum(level[right[q]], level[left[q] + (1 << k)])
+    y = lf.order[np.minimum(first, f.m - 1)]
+    found = (first < f.m) & (f.sizes[y] >= f.sizes)
+    return MaxAssignment(np.where(found, y, -1))

@@ -79,11 +79,12 @@ def max_oracle(f, lf):
     """The Max definition applied literally: earliest LF set of size >= |X| overlapping X."""
     sets = f.as_frozensets()
     sizes = f.sizes.tolist()
+    order = [int(y) for y in lf.order]  # an LFOrder's array or any list
     partners = []
     for x in range(f.m):
         sx = sets[x]
         found = -1
-        for y in lf.order:
+        for y in order:
             if sizes[y] < sizes[x]:
                 break
             if y != x and overlaps(sx, sets[y]):

@@ -160,10 +160,6 @@ class OrderedPartition:
                 record((r, p, boundary, hi))
         return splits
 
-    def snapshot_order(self):
-        """Copy of the current element order; pure read."""
-        return list(self.table)
-
     def parts_in_order(self):
         """Parts left to right, each as the list of its elements."""
         out = []

@@ -5,7 +5,7 @@ from functools import cached_property
 
 from .dgraph import build_dgraph
 from .family import build_sl_lists, lf_order
-from .maxcomp import build_am, compute_bounds, compute_max, compute_pf
+from .maxcomp import compute_bounds, compute_max, compute_pf
 from .subgraph import build_overlap_subgraph, spanning_forest
 
 __all__ = ["PipelineResult", "run_pipeline"]
@@ -20,13 +20,10 @@ class PipelineResult:
     components, is not needed for that and is built on first access.
     """
 
-    def __init__(self, family, lf, sl, pf, bounds, maxes, subgraph, forest,
-                 times):
+    def __init__(self, family, lf, sl, maxes, subgraph, forest, times):
         self.family = family
         self.lf = lf
         self.sl = sl
-        self.pf = pf
-        self.bounds = bounds
         self.maxes = maxes
         self.subgraph = subgraph
         self.labeling = self.forest = forest
@@ -59,8 +56,7 @@ def run_pipeline(f):
 
     pf = compute_pf(f, lf)
     bounds = compute_bounds(f, pf)
-    am = build_am(f, bounds)
-    maxes = compute_max(f, lf, pf, bounds, am)
+    maxes = compute_max(f, lf, pf, bounds)
     t2 = clock()
     times["maxcomp"] = t2 - t1
 
@@ -74,4 +70,4 @@ def run_pipeline(f):
     times["dgraph"] = 0.0
     times["total"] = t4 - t0
 
-    return PipelineResult(f, lf, sl, pf, bounds, maxes, sub, forest, times)
+    return PipelineResult(f, lf, sl, maxes, sub, forest, times)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dgraph import ComponentLabeling, dedup_sorted_pairs, spanning_edges
 from .family import segments
+from .maxcomp import window_levels
 
 __all__ = [
     "OverlapSubgraph",
@@ -91,15 +92,8 @@ def _nearest_cover(reach, need, starts):
     that cannot cover it, largest window first.
     """
     q = np.arange(len(need), dtype=np.int32)
-    span = int((q - starts).max(initial=0))
-    levels = [reach]
-    width = 1
-    while width < span:
-        lower = levels[-1]
-        upper = lower.copy()
-        np.maximum(lower[width:], lower[:-width], out=upper[width:])
-        levels.append(upper)
-        width *= 2
+    levels = list(window_levels(reach, int((q - starts).max(initial=0)),
+                                np.maximum))
     cur = q - 1
     for k in range(len(levels) - 1, -1, -1):
         jump = levels[k][np.maximum(cur, 0)] < need

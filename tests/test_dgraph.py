@@ -1,7 +1,7 @@
 from overlap.dgraph import (DahlhausGraph, build_dgraph, components,
                             dedup_sorted_pairs)
 from overlap.family import build_sl_lists, lf_order
-from overlap.maxcomp import build_am, compute_bounds, compute_max, compute_pf
+from overlap.maxcomp import compute_bounds, compute_max, compute_pf
 from overlap.oracle import overlap_graph_full
 from overlap.pipeline import run_pipeline
 
@@ -13,7 +13,7 @@ def dahlhaus(f):
     sl = build_sl_lists(f, lf)
     pf = compute_pf(f, lf)
     bounds = compute_bounds(f, pf)
-    maxes = compute_max(f, lf, pf, bounds, build_am(f, bounds))
+    maxes = compute_max(f, lf, pf, bounds)
     return build_dgraph(f, sl, maxes)
 
 
@@ -39,10 +39,6 @@ class TestBuild:
             f = random_family(rng, max_n=15, max_m=20)
             g = dahlhaus(f)
             assert g.raw_edge_count <= f.total_size
-
-    def test_adjacency_symmetric(self, fam_a):
-        adj = dahlhaus(fam_a).adjacency()
-        assert adj == [[1], [0, 2], [1], []]
 
 
 class TestComponents:

@@ -1,3 +1,5 @@
+import types
+
 import pytest
 
 from overlap.family import lf_order, parse_family
@@ -73,6 +75,11 @@ class TestMaxOracle:
     def test_nested_chain(self):
         f = make_family([0], [0, 1], [0, 1, 2])
         assert max_oracle(f, lf_order(f)).values == [None, None, None]
+
+    def test_order_as_plain_list(self, fam_a):
+        # callers outside the package pass their own large-first order
+        lf = types.SimpleNamespace(order=[3, 0, 1, 2])
+        assert max_oracle(fam_a, lf).values == [1, 0, 1, None]
 
 
 def test_classes_invariant_under_set_permutation():

@@ -84,20 +84,6 @@ class TestRefine:
         assert set(p.table[nlo:nhi + 1]) == {2, 4}
 
 
-class TestSnapshot:
-
-    def test_identity_after_init(self):
-        assert OrderedPartition(5).snapshot_order() == [0, 1, 2, 3, 4]
-
-    def test_matches_table_and_idempotent(self):
-        p = OrderedPartition(6)
-        p.refine([1, 4])
-        s1 = p.snapshot_order()
-        s2 = p.snapshot_order()
-        assert s1 == s2 == list(p.table)
-        assert s1 is not p.table
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_refine_sequences_keep_invariants(data):

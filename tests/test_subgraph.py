@@ -2,7 +2,7 @@ import numpy as np
 
 from overlap.dgraph import UnionFind, dedup_sorted_pairs
 from overlap.family import build_sl_lists, lf_order
-from overlap.maxcomp import build_am, compute_bounds, compute_max, compute_pf
+from overlap.maxcomp import compute_bounds, compute_max, compute_pf
 from overlap.oracle import overlap_graph_full, overlaps
 from overlap.pipeline import run_pipeline
 from overlap.subgraph import (_collect, _resolve, build_overlap_subgraph,
@@ -16,7 +16,7 @@ def stages(f):
     sl = build_sl_lists(f, lf)
     pf = compute_pf(f, lf)
     bounds = compute_bounds(f, pf)
-    maxes = compute_max(f, lf, pf, bounds, build_am(f, bounds))
+    maxes = compute_max(f, lf, pf, bounds)
     return lf, sl, pf, bounds, maxes
 
 
