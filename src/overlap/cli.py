@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .family import FamilyFormatError, SetFamily, parse_family
-from .generate import (gen_blocks, gen_nested, gen_random,
+from .generate import (gen_blocks, gen_nested, gen_random_lines,
                        gen_random_sets, gen_star)
 from .oracle import OracleCapExceeded, max_oracle, overlap_graph_full, overlaps
 from .pipeline import run_pipeline
@@ -107,13 +107,18 @@ def _dot(name, m, a, b, out):
 
 
 def _write_classes(res, out):
-    for i, cid in enumerate(res.labeling.class_id.tolist()):
-        out.write("%s %d\n" % (_label(i), cid))
+    class_id = res.labeling.class_id
+    # _rows writes every number plus 1; class ids stay 0-based
+    out.write(_rows("X%d %d\n", np.arange(len(class_id)), class_id - 1))
 
 
 def _write_max(res, out):
-    for i, v in enumerate(res.maxes.values):
-        out.write("%s -> %s\n" % (_label(i), "none" if v is None else _label(v)))
+    mx = res.maxes.partners
+    # each set, then its Max unless it has none (-1)
+    values = np.column_stack((np.arange(len(mx)), mx)).ravel()
+    out.write("".join(map(("X%d -> X%d\n", "X%d -> none\n").__getitem__,
+                          (mx < 0).tolist()))
+              % tuple((values[values >= 0] + 1).tolist()))
 
 
 def _write_subgraph(res, out):
@@ -209,24 +214,25 @@ def cmd_verify(args, out):
 def cmd_gen(args, out):
     try:
         if args.kind == "star":
-            text = gen_star(args.m)
+            chunks = [gen_star(args.m)]
         elif args.kind == "nested":
-            text = gen_nested(args.k)
+            chunks = [gen_nested(args.k)]
         elif args.kind == "random":
-            text = gen_random(args.n, args.m, args.seed,
-                              max_size=args.max_size)
+            # one set at a time: the whole text can be far larger than memory
+            chunks = gen_random_lines(args.n, args.m, args.seed,
+                                      max_size=args.max_size)
         else:
-            text = gen_blocks(args.n, args.m, args.blocks, args.seed)
+            chunks = [gen_blocks(args.n, args.m, args.blocks, args.seed)]
     except ValueError as exc:
         _input_error(exc)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             _input_error(exc)
     else:
-        out.write(text)
+        out.writelines(chunks)
     return 0
 
 

@@ -2,8 +2,8 @@
 
 import random
 
-__all__ = ["gen_star", "gen_nested", "gen_random", "gen_random_sets",
-           "gen_blocks"]
+__all__ = ["gen_star", "gen_nested", "gen_random", "gen_random_lines",
+           "gen_random_sets", "gen_blocks"]
 
 
 def gen_star(m):
@@ -25,7 +25,11 @@ def gen_nested(k):
 
 
 def gen_random_sets(n, m, seed, min_size=1, max_size=None):
-    """The index lists behind gen_random, without the text round trip."""
+    """The index lists behind gen_random, without the text round trip.
+
+    They come as an iterator, drawn one at a time, so a family far larger
+    than memory can be streamed; the settings are checked at the call.
+    """
     if n < 1 or m < 1:
         raise ValueError("random needs n >= 1 and m >= 1")
     hi = n if max_size is None else min(max_size, n)
@@ -34,13 +38,18 @@ def gen_random_sets(n, m, seed, min_size=1, max_size=None):
         raise ValueError("random needs set sizes of at least 1")
     rng = random.Random(seed)
     pool = range(n)
-    return [rng.sample(pool, rng.randint(lo, hi)) for _ in range(m)]
+    return (rng.sample(pool, rng.randint(lo, hi)) for _ in range(m))
+
+
+def gen_random_lines(n, m, seed, min_size=1, max_size=None):
+    """The lines of gen_random's text, drawn one at a time."""
+    return (" ".join("e%d" % e for e in s) + "\n"
+            for s in gen_random_sets(n, m, seed, min_size, max_size))
 
 
 def gen_random(n, m, seed, min_size=1, max_size=None):
     """m sets over n elements with sizes uniform in [min_size, max_size]."""
-    sets = gen_random_sets(n, m, seed, min_size, max_size)
-    return "".join(" ".join("e%d" % e for e in s) + "\n" for s in sets)
+    return "".join(gen_random_lines(n, m, seed, min_size, max_size))
 
 
 def gen_blocks(n, m, blocks, seed):

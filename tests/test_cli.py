@@ -165,6 +165,24 @@ class TestGen:
         assert out1 == out2
         assert len(out1.splitlines()) == 30
 
+    def test_random_written_set_by_set(self):
+        # the text is never held whole: no write carries more than one set
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        code = cli.main(["gen", "random", "--n", "50", "--m", "400",
+                         "--seed", "5"], out=Sink())
+        assert code == 0
+        assert max(w.count("\n") for w in writes) == 1
+        assert "".join(writes) == gen_random(50, 400, 5)
+
     def test_blocks_parseable(self, tmp_path):
         path = tmp_path / "blocks.txt"
         code, _ = run_cli("gen", "blocks", "--n", "40", "--m", "20",
