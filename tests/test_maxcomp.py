@@ -3,17 +3,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlap.family import lf_order, parse_family
-from overlap.generate import gen_blocks
+from overlap.generate import gen_blocks, gen_nested, gen_star
 from overlap.maxcomp import compute_bounds, compute_max, compute_pf
 from overlap.oracle import max_oracle
-from overlap.partition import OrderedPartition
 
 from conftest import exhaustive_families, make_family, random_family, seeded_rng
 
 
+def pass1(f, lf):
+    return compute_pf(f, lf)
+
+
 def max_stages(f):
     lf = lf_order(f)
-    pf = compute_pf(f, lf)
+    pf = pass1(f, lf)
     bounds = compute_bounds(f, pf)
     return lf, pf, bounds
 
@@ -21,6 +24,99 @@ def max_stages(f):
 def fast_max(f):
     lf, pf, bounds = max_stages(f)
     return compute_max(f, lf, pf, bounds), lf
+
+
+def refine_all(n, seqs):
+    """Pass 1 as the paper runs it, the reference for compute_pf.
+
+    Refines the one-part ordered partition of range(n) by each element
+    set of seqs in turn: the members of a set move to the suffix of every
+    part they partly hit, and a new part opens over that suffix. Returns
+    the final table, its parts left to right as lists, and every split
+    as an (r, part, boundary, hi) tuple in the order it happened: seqs[r]
+    split the part, which kept [lo, boundary] while a new part took
+    [boundary + 1, hi].
+    """
+    table = list(range(n))
+    position = list(range(n))
+    part_of = [0] * n
+    part_lo = [0]
+    part_hi = [n - 1]
+    splits = []
+    for r, xs in enumerate(seqs):
+        counts = {}
+        for e in xs:
+            p = part_of[e]
+            counts[p] = counts.get(p, 0) + 1
+        placed = {}
+        for e in xs:
+            p = part_of[e]
+            if counts[p] == part_hi[p] - part_lo[p] + 1:
+                continue
+            target = part_hi[p] - placed.get(p, 0)
+            placed[p] = placed.get(p, 0) + 1
+            slot = position[e]
+            other = table[target]
+            table[target], table[slot] = e, other
+            position[e], position[other] = target, slot
+        for p, k in counts.items():
+            lo, hi = part_lo[p], part_hi[p]
+            if k == hi - lo + 1:
+                continue
+            boundary = hi - k
+            part_hi[p] = boundary
+            part_lo.append(boundary + 1)
+            part_hi.append(hi)
+            for e in table[boundary + 1:hi + 1]:
+                part_of[e] = len(part_lo) - 1
+            splits.append((r, p, boundary, hi))
+    parts = sorted(zip(part_lo, part_hi))
+    return table, [table[lo:hi + 1] for lo, hi in parts], splits
+
+
+def reference_pass1(f, lf):
+    """refine_all over the sets in LF order, and its row: the LF rank
+    of the split that opened the boundary before each position."""
+    table, parts, splits = refine_all(f.n, [f.sets[i] for i in lf.order])
+    row = [f.m] * f.n
+    for r, _, boundary, _ in splits:
+        row[boundary + 1] = r
+    return parts, row, splits
+
+
+def twin_groups(pf, m):
+    """elem_at cut at each boundary of row, as lists of elements."""
+    cuts = np.flatnonzero(pf.row != m)
+    return [sorted(g.tolist()) for g in np.split(pf.elem_at, cuts[cuts > 0])]
+
+
+def assert_pass1_matches(f):
+    """row equals the reference's exactly, and elem_at holds the
+    reference's final parts, left to right, in any order within each."""
+    lf = lf_order(f)
+    pf = pass1(f, lf)
+    parts, row, _ = reference_pass1(f, lf)
+    assert pf.row.tolist() == row, f.sets
+    assert twin_groups(pf, f.m) == [sorted(p) for p in parts], f.sets
+
+
+def family_of_columns(columns):
+    """A family whose LF ranks are the ids in the given columns.
+
+    Set i holds the elements with i in their column, plus private
+    elements that make the sets strictly smaller by id, so LF order is
+    id order. A column without ids is an element in no set; the private
+    elements of a set are twins.
+    """
+    m = 1 + max(i for col in columns for i in col)
+    sets = [[e for e, col in enumerate(columns) if i in col]
+            for i in range(m)]
+    top = max(map(len, sets)) + m
+    for i, s in enumerate(sets):
+        s += ["p%d.%d" % (i, j) for j in range(top - i - len(s))]
+    f = make_family(*sets, universe=range(len(columns)))
+    assert lf_order(f).order.tolist() == list(range(m))
+    return f
 
 
 def replay_max(f, lf, bounds):
@@ -34,7 +130,7 @@ def replay_max(f, lf, bounds):
     refiner is a set's Max if it is at least as large; otherwise the set
     is dropped by size. Returns the Max partners as a list, -1 for none.
     """
-    splits = OrderedPartition(f.n).refine_all(lf.sets())
+    _, _, splits = reference_pass1(f, lf)
     by_right = np.lexsort((bounds.left, bounds.right))
     start = np.zeros(f.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(bounds.right, minlength=f.n), out=start[1:])
@@ -45,10 +141,9 @@ def replay_max(f, lf, bounds):
     order = lf.order.tolist()
     sizes = f.sizes.tolist()
     maxes = [-1] * f.m
-    for i in range(0, len(splits), 4):
-        y = order[splits[i]]
-        boundary = splits[i + 2]
-        for q in range(boundary + 1, splits[i + 3] + 1):
+    for r, _, boundary, hi in splits:
+        y = order[r]
+        for q in range(boundary + 1, hi + 1):
             c = cursor[q]
             while c < end[q] and left[c] <= boundary:
                 x = sets[c]
@@ -70,19 +165,65 @@ class TestPfOrder:
 
     def test_fam_a(self, fam_a):
         lf = lf_order(fam_a)
-        pf = compute_pf(fam_a, lf)
+        pf = pass1(fam_a, lf)
         assert [fam_a.tokens[e] for e in pf.elem_at] == ["4", "3", "1", "2"]
 
     def test_single_set_complement_then_set(self):
         f = make_family([1, 3], universe=range(5))
-        pf = compute_pf(f, lf_order(f))
+        pf = pass1(f, lf_order(f))
         assert {f.tokens[e] for e in pf.elem_at[3:]} == {"1", "3"}
         assert {f.tokens[e] for e in pf.elem_at[:3]} == {"0", "2", "4"}
 
     def test_inverse_maps(self, fam_a):
-        pf = compute_pf(fam_a, lf_order(fam_a))
+        pf = pass1(fam_a, lf_order(fam_a))
         for slot, e in enumerate(pf.elem_at):
             assert pf.pos_f[e] == slot
+
+
+class TestPass1MatchesReference:
+
+    def test_random_with_free_elements_and_twins(self):
+        # random_family declares the whole universe, so some elements lie
+        # in no set (empty columns); n <= 6 under many sets makes twins
+        rng = seeded_rng(7)
+        for _ in range(300):
+            assert_pass1_matches(random_family(rng, max_n=30, max_m=40))
+        for _ in range(200):
+            assert_pass1_matches(random_family(rng, max_n=6, max_m=40))
+
+    def test_twins_and_free_elements(self):
+        assert_pass1_matches(make_family([0, 1, 2], [1, 2], [3],
+                                         universe=range(7)))
+        assert_pass1_matches(make_family([0, 1], [0, 1], universe=[5, 6]))
+
+    def test_one_element_or_one_set(self):
+        assert_pass1_matches(make_family([0]))
+        assert_pass1_matches(make_family([0], [0], [0]))
+        assert_pass1_matches(make_family([0], universe=range(4)))
+        assert_pass1_matches(make_family([1, 3], universe=range(5)))
+        assert_pass1_matches(make_family(range(9)))
+
+    def test_nested_and_star(self):
+        assert_pass1_matches(parse_family(gen_nested(40)))
+        assert_pass1_matches(parse_family(gen_star(300)))
+
+    def test_columns_around_powers_of_two(self):
+        # columns of length L = 2**k - 1, 2**k and 2**k + 1 that share
+        # their first L ids and then end, or go on with different ids
+        columns = []
+        for k in range(6):
+            for length in (2**k - 1, 2**k, 2**k + 1):
+                spine = list(range(length))
+                columns += [spine, spine + [40], spine + [41],
+                            spine + [40, 42], spine[:-1] + [43], []]
+        assert max(map(len, columns)) == 35
+        assert_pass1_matches(family_of_columns(columns))
+
+    def test_long_shared_prefix(self):
+        # the columns of elements 0 and 1 list the same 2**17 - 1 LF
+        # ranks, and element 1 then holds the last set, [1]
+        f = make_family(*([0, 1, 2 + i] for i in range(2**17 - 1)), [1])
+        assert_pass1_matches(f)
 
 
 def columns_lex_sorted(f, lf, pf):
@@ -99,7 +240,7 @@ def columns_lex_sorted(f, lf, pf):
 def test_pf_is_lexicographic_column_order(seed):
     f = random_family(seeded_rng(seed), max_n=12, max_m=12)
     lf = lf_order(f)
-    pf = compute_pf(f, lf)
+    pf = pass1(f, lf)
     assert columns_lex_sorted(f, lf, pf)
 
 
