@@ -7,7 +7,6 @@ original tokens are kept solely for output.
 
 import io
 import operator
-from array import array
 from collections import defaultdict
 from functools import cached_property
 
@@ -144,30 +143,15 @@ class LFOrder:
     """Set indices sorted by decreasing size; equal sizes stay in input order.
 
     order and rank are int32 arrays; rank is the inverse permutation:
-    rank[i] is the position of set i. elems and offsets hold the sets'
-    elements in this order, end to end: set order[r] is
-    elems[offsets[r]:offsets[r + 1]]. The refinement pass walks these,
-    so it reads memory front to back.
+    rank[i] is the position of set i.
     """
 
-    __slots__ = ("order", "rank", "elems", "offsets")
+    __slots__ = ("order", "rank")
 
-    def __init__(self, f, order):
+    def __init__(self, order):
         self.order = np.asarray(order, dtype=np.int32)
         self.rank = np.empty_like(self.order)
         self.rank[self.order] = np.arange(len(order), dtype=np.int32)
-        lens = f.sizes[order]
-        ends = np.cumsum(lens)
-        gather = np.arange(f.total_size) + np.repeat(
-            f.offsets[:-1][order] - (ends - lens), lens)
-        self.elems = array("i", f.elems[gather].tobytes())
-        self.offsets = [0] + ends.tolist()
-
-    def sets(self):
-        """Each set's elements, in LF order, as array('i') slices."""
-        elems = self.elems
-        offsets = self.offsets
-        return (elems[a:b] for a, b in zip(offsets, offsets[1:]))
 
 
 class SLLists:
@@ -248,7 +232,7 @@ def parse_family(source):
 
 def lf_order(f):
     """Sort the sets by decreasing size, stable on input index."""
-    return LFOrder(f, np.argsort(-f.sizes, kind="stable"))
+    return LFOrder(np.argsort(-f.sizes, kind="stable"))
 
 
 def build_sl_lists(f, lf):

@@ -3,9 +3,10 @@
 Max of a set X is the earliest set Y in LF order that overlaps X and has
 size >= |X| (None when no such Y exists). The passes are:
 
-1. refine the trivial partition of the universe by every set in LF order;
-   the final element order sorts the conceptual membership-matrix columns
-   lexicographically (that matrix is never materialized);
+1. order the universe as refining it by every set in LF order would:
+   that order sorts the columns of the membership matrix
+   lexicographically, and each boundary of it records the LF rank of
+   the set whose split opened it;
 2. read off, per set, the leftmost/rightmost position of its elements in
    that order;
 3. find, per set, the earliest refiner that separates its elements: the
@@ -13,15 +14,18 @@ size >= |X| (None when no such Y exists). The passes are:
    that put each boundary there. That refiner is the set's Max if it is
    at least as large; otherwise the set has no Max.
 
-A part keeps its interval of the table for good: later swaps stay inside
-the parts it splits into. So every boundary of pass 1 lies between the
-same two positions of the final order, and pass 1 records, per position,
-the rank of the split that opened the boundary before it.
+A part of the refinement keeps its interval of the order for good: later
+splits stay inside the parts it splits into. So the refinement is never
+run. Pass 1 sorts the columns, each the list of LF ranks of the sets
+holding an element, by the naming of Karp, Miller and Rosenberg
+("Rapid identification of repeated patterns in strings, trees and
+arrays", STOC 1972): each round names the aligned blocks of twice the
+length with one numpy sort, so ceil(log2 d) rounds, d the largest
+column, sort about |F| keys in all. The split between two adjacent
+columns is their first difference, found by walking down the rounds.
 """
 
 import numpy as np
-
-from .partition import OrderedPartition
 
 __all__ = [
     "PfOrder",
@@ -111,14 +115,145 @@ def window_levels(values, span, op):
         yield level
 
 
-def compute_pf(f, lf):
-    """Pass 1: refine the full-universe partition by every set in LF order,
-    recording at each new boundary the LF rank of the refining set."""
-    p = OrderedPartition(f.n)
-    splits = np.frombuffer(p.refine_all(lf.sets()), dtype=np.int32)
-    row = np.full(f.n, f.m, dtype=np.int32)
-    row[splits[2::4] + 1] = splits[::4]
-    return PfOrder(p.table, row)
+def _sort_groups(key):
+    """The order that sorts key, and per sorted entry whether it differs
+    from the entry before it (True for the first)."""
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return order, new
+
+
+def _name_rounds(names, length, m):
+    """Names of the aligned blocks of the columns, one round per doubling.
+
+    names holds the columns end to end, column c having length[c]
+    entries from 1..m. In round 0 a block is one entry and its name the
+    entry. Round k takes the columns that had two blocks or more in
+    round k - 1, and names each of their blocks of 2**k entries by the
+    dense rank, from 1, of the pair of its halves' names, a lone last
+    half pairing with 0. So two blocks of a round get one name exactly
+    when their entries are equal, and names order blocks like their
+    entries padded with 0s. Returns per round (cols, start, names): the
+    round's columns in ascending order, and their blocks' offsets into
+    the names.
+    """
+    cols = np.arange(len(length), dtype=np.int32)
+    start = np.zeros(len(length) + 1, dtype=np.int64)
+    np.cumsum(length, out=start[1:])
+    rounds = [(cols, start, names)]
+    top = m
+    while True:
+        count = np.diff(start)
+        go = count >= 2
+        if not go.any():
+            return rounds
+        cols = cols[go]
+        count = count[go]
+        half = (count + 1) >> 1
+        nstart = np.zeros(len(cols) + 1, dtype=np.int64)
+        np.cumsum(half, out=nstart[1:])
+        left = 2 * np.arange(nstart[-1]) - np.repeat(
+            2 * nstart[:-1] - start[:-1][go], half)
+        right = names[np.minimum(left + 1, len(names) - 1)]
+        right[nstart[1:][count % 2 == 1] - 1] = 0
+        order, new = _sort_groups(names[left].astype(np.int64) * (top + 1)
+                                  + right)
+        rank = np.cumsum(new, dtype=np.int32)
+        top = int(rank[-1])
+        names = np.empty_like(rank)
+        names[order] = rank
+        start = nstart
+        rounds.append((cols, start, names))
+
+
+def _column_order(rounds, at):
+    """The columns in lexicographic order, and per position whether its
+    column differs from the one before.
+
+    Round k orders its columns by the name of their first block. Among
+    columns that tie there, a column absent from round k + 1 fits in that
+    block, so it equals the others that stop and is a proper prefix of
+    those that go on: it comes first, and the rest keep their order of
+    round k + 1. at is scratch space with one entry per column.
+    """
+    rank = None
+    for cols, start, names in reversed(rounds):
+        key = np.zeros(len(cols), dtype=np.int64)
+        held = start[1:] > start[:-1]
+        key[held] = names[start[:-1][held]]
+        if rank is not None:
+            at[cols] = np.arange(len(cols))
+            tie = np.zeros(len(cols), dtype=np.int64)
+            tie[at[above]] = rank + 1
+            key = key * (len(above) + 1) + tie
+        order, new = _sort_groups(key)
+        rank = np.empty(len(cols), dtype=np.int64)
+        rank[order] = np.cumsum(new) - 1
+        above = cols
+    return order, new
+
+
+def _common_prefix(rounds, at, a, b):
+    """Per pair, the length of the longest common prefix of columns a and b.
+
+    The walk goes down the rounds from the last one that holds both
+    columns, where their first block covers the shorter one. With the
+    prefix known to 2**(k + 1) entries, round k compares the next block
+    of 2**k entries, a block past a column's end being named 0, and adds
+    2**k if it is equal in both. at is scratch space as in _column_order.
+    """
+    last = np.full(len(at), -1)
+    for k, (cols, start, _) in enumerate(rounds):
+        last[cols[start[1:] > start[:-1]]] = k
+    deep = np.minimum(last[a], last[b])
+    by = np.argsort(deep)
+    a, b, deep = a[by], b[by], deep[by]
+    lcp = np.zeros(len(a), dtype=np.int64)
+    for k in range(len(rounds) - 1, -1, -1):
+        cols, start, names = rounds[k]
+        walk = slice(np.searchsorted(deep, k), None)
+        at[cols] = np.arange(len(cols))
+        blocks = []
+        for c in (a[walk], b[walk]):
+            i = at[c]
+            j = start[i] + (lcp[walk] >> k)
+            blocks.append(np.where(j < start[i + 1],
+                                   names[np.minimum(j, len(names) - 1)], 0))
+        lcp[walk] += (blocks[0] == blocks[1]) << k
+    lcp[by] = lcp.copy()
+    return lcp
+
+
+def compute_pf(f, lf, sl):
+    """Pass 1: the final order of the refinement by every set in LF order.
+
+    Refining by a set moves its members after the other elements of each
+    part, so the final order sorts the element columns, each the
+    ascending list of the LF ranks of the sets holding the element: at
+    the first rank where two columns differ, the column holding it comes
+    later, and a proper prefix comes first. Written as entries m - rank,
+    that is the plain lexicographic order; reading sl.flat backwards
+    gives every column end to end. Two adjacent columns are split by the
+    entry of the later one at their longest common prefix, which is the
+    row of the boundary between them; equal columns (twins) share a part,
+    in any order.
+    """
+    n, m = f.n, f.m
+    # sl.flat backwards holds the column of element e at place n - 1 - e
+    rounds = _name_rounds(m - lf.rank[sl.flat[::-1]],
+                          np.diff(sl.offsets)[::-1], m)
+    at = np.empty(n, dtype=np.int64)
+    order, new = _column_order(rounds, at)
+    cut = np.flatnonzero(new[1:]) + 1
+    later = order[cut]
+    lcp = _common_prefix(rounds, at, order[cut - 1], later)
+    _, start, names = rounds[0]
+    row = np.full(n, m, dtype=np.int32)
+    row[cut] = m - names[start[later] + lcp]
+    return PfOrder(n - 1 - order, row)
 
 
 def compute_bounds(f, pf):

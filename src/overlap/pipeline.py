@@ -54,7 +54,7 @@ def run_pipeline(f):
     t1 = clock()
     times["orders"] = t1 - t0
 
-    pf = compute_pf(f, lf)
+    pf = compute_pf(f, lf, sl)
     bounds = compute_bounds(f, pf)
     maxes = compute_max(f, lf, pf, bounds)
     t2 = clock()

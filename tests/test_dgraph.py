@@ -11,7 +11,7 @@ from conftest import make_family, random_family, seeded_rng
 def dahlhaus(f):
     lf = lf_order(f)
     sl = build_sl_lists(f, lf)
-    pf = compute_pf(f, lf)
+    pf = compute_pf(f, lf, sl)
     bounds = compute_bounds(f, pf)
     maxes = compute_max(f, lf, pf, bounds)
     return build_dgraph(f, sl, maxes)

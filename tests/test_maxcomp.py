@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlap.family import lf_order, parse_family
+from overlap.family import build_sl_lists, lf_order, parse_family
 from overlap.generate import gen_blocks, gen_nested, gen_star
 from overlap.maxcomp import compute_bounds, compute_max, compute_pf
 from overlap.oracle import max_oracle
@@ -11,7 +11,7 @@ from conftest import exhaustive_families, make_family, random_family, seeded_rng
 
 
 def pass1(f, lf):
-    return compute_pf(f, lf)
+    return compute_pf(f, lf, build_sl_lists(f, lf))
 
 
 def max_stages(f):

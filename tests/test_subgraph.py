@@ -14,7 +14,7 @@ from conftest import make_family, random_family, seeded_rng
 def stages(f):
     lf = lf_order(f)
     sl = build_sl_lists(f, lf)
-    pf = compute_pf(f, lf)
+    pf = compute_pf(f, lf, sl)
     bounds = compute_bounds(f, pf)
     maxes = compute_max(f, lf, pf, bounds)
     return lf, sl, pf, bounds, maxes
