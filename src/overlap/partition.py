@@ -1,4 +1,4 @@
-"""Ordered partition of {0..n-1} with linear-time refinement.
+"""Ordered partition of {0..n-1} with refinement by one set at a time.
 
 The representation is a table with one slot per element plus, per part, a
 pair of inclusive bounds [lo, hi] into that table. Parts are disjoint
@@ -7,10 +7,9 @@ the members of X to the suffix of every part they partially hit and opens
 a new part over that suffix; a part wholly inside or wholly outside X is
 left alone. Element order inside a part carries no meaning.
 
-alone[e] is 1 once e's part is a singleton: no refinement can split it
-again, so refining skips such an element after one byte lookup. On
-families with many overlaps most elements end up alone in their part
-early on, which makes this the cheapest test in the loop.
+Pass 1 of the Max computation (maxcomp.compute_pf) reaches the same final
+order by sorting the element columns, so nothing in the pipeline refines;
+this structure shows the step the paper describes.
 """
 
 from array import array
@@ -27,8 +26,7 @@ class SplitEvent(NamedTuple):
 
 class OrderedPartition:
 
-    __slots__ = ("n", "table", "position", "part_of", "part_lo", "part_hi",
-                 "alone")
+    __slots__ = ("n", "table", "position", "part_of", "part_lo", "part_hi")
 
     def __init__(self, n):
         if n < 1:
@@ -39,16 +37,6 @@ class OrderedPartition:
         self.part_of = array("i", bytes(4 * n))
         self.part_lo = array("i", [0])
         self.part_hi = array("i", [n - 1])
-        self.alone = bytearray([n == 1]) * n
-
-    @classmethod
-    def from_order(cls, order):
-        """Single part over the given element order."""
-        p = cls(len(order))
-        p.table = array("i", order)
-        for slot, e in enumerate(p.table):
-            p.position[e] = slot
-        return p
 
     @classmethod
     def from_parts(cls, parts):
@@ -57,19 +45,18 @@ class OrderedPartition:
         parts is a list of element groups; concatenated they must be a
         permutation of 0..n-1.
         """
-        flat = [e for part in parts for e in part]
-        p = cls.from_order(flat)
+        p = cls(sum(map(len, parts)))
+        p.table = array("i", [e for part in parts for e in part])
         p.part_lo = array("i")
         p.part_hi = array("i")
         lo = 0
         for pid, part in enumerate(parts):
-            hi = lo + len(part) - 1
             p.part_lo.append(lo)
-            p.part_hi.append(hi)
-            for slot in range(lo, hi + 1):
+            p.part_hi.append(lo + len(part) - 1)
+            for slot in range(lo, lo + len(part)):
+                p.position[p.table[slot]] = slot
                 p.part_of[p.table[slot]] = pid
-                p.alone[p.table[slot]] = hi == lo
-            lo = hi + 1
+            lo += len(part)
         return p
 
     def refine(self, xs):
@@ -77,88 +64,52 @@ class OrderedPartition:
 
         For each part C with a proper non-empty intersection with xs, the
         members of xs are swapped into C's suffix, C is shrunk to the
-        prefix and a fresh part id covers the suffix. Runs in O(|xs|)
-        plus one bounds update per split part.
+        prefix and a fresh part id covers the suffix. A repeat in xs is
+        dropped. Runs in O(|xs|) plus one bounds update per split part.
         """
-        n = self.n
+        xs = list(dict.fromkeys(xs))
         for e in xs:
-            if not 0 <= e < n:
+            if not 0 <= e < self.n:
                 raise ValueError("element %r outside universe" % (e,))
-        first = len(self.part_lo)
-        splits = self.refine_all((xs,))
-        return [SplitEvent(splits[i + 1], splits[i + 2], first + i // 4)
-                for i in range(0, len(splits), 4)]
-
-    def refine_all(self, seqs):
-        """Refine by each element set of seqs in turn; return every split.
-
-        The splits come as one flat array('i') of (r, part, boundary, hi)
-        quadruples in the order they happened: seqs[r] split the part,
-        which kept [lo, boundary] while a new part took [boundary + 1,
-        hi]. New part ids count up from len(part_lo) at the call. The
-        elements must lie in the universe: refine checks them, this loop
-        does not.
-        """
         table = self.table
         position = self.position
         part_of = self.part_of
         part_lo = self.part_lo
         part_hi = self.part_hi
-        alone = self.alone
-        splits = array("i")
-        record = splits.extend
-        for r, xs in enumerate(seqs):
-            counts = {}
-            for e in xs:
-                if alone[e]:
-                    continue
-                p = part_of[e]
-                if p in counts:
-                    counts[p] += 1
-                else:
-                    counts[p] = 1
-            if not counts:
+        counts = {}
+        for e in xs:
+            p = part_of[e]
+            counts[p] = counts.get(p, 0) + 1
+
+        # swap each member of xs into the suffix of its part
+        placed = {}
+        for e in xs:
+            p = part_of[e]
+            k = placed.get(p, 0)
+            placed[p] = k + 1
+            target = part_hi[p] - k
+            slot = position[e]
+            other = table[target]
+            table[target] = e
+            table[slot] = other
+            position[e] = target
+            position[other] = slot
+
+        events = []
+        for p, k in counts.items():
+            lo = part_lo[p]
+            hi = part_hi[p]
+            if k == hi - lo + 1:
                 continue
-
-            # swap each member of xs into the suffix of its part
-            placed = {}
-            pget = placed.get
-            for e in xs:
-                if alone[e]:
-                    continue
-                p = part_of[e]
-                hi = part_hi[p]
-                if counts[p] == hi - part_lo[p] + 1:
-                    continue
-                k = pget(p, 0)
-                placed[p] = k + 1
-                target = hi - k
-                slot = position[e]
-                if slot != target:
-                    other = table[target]
-                    table[target] = e
-                    table[slot] = other
-                    position[e] = target
-                    position[other] = slot
-
-            for p, k in counts.items():
-                lo = part_lo[p]
-                hi = part_hi[p]
-                if k == hi - lo + 1:
-                    continue
-                boundary = hi - k
-                newp = len(part_lo)
-                part_lo.append(boundary + 1)
-                part_hi.append(hi)
-                part_hi[p] = boundary
-                for e in table[boundary + 1:hi + 1]:
-                    part_of[e] = newp
-                if k == 1:
-                    alone[table[hi]] = 1
-                if boundary == lo:
-                    alone[table[lo]] = 1
-                record((r, p, boundary, hi))
-        return splits
+            boundary = hi - k
+            newp = len(part_lo)
+            part_lo.append(boundary + 1)
+            part_hi.append(hi)
+            part_hi[p] = boundary
+            for e in table[boundary + 1:hi + 1]:
+                part_of[e] = newp
+            events.append(SplitEvent(p, boundary, newp))
+        return events
 
     def parts_in_order(self):
         """Parts left to right, each as the list of its elements."""
@@ -192,6 +143,5 @@ class OrderedPartition:
                 assert slot not in seen_slots
                 seen_slots.add(slot)
                 assert self.part_of[self.table[slot]] == pid
-                assert self.alone[self.table[slot]] == (hi == lo)
             covered += hi - lo + 1
         assert covered == n

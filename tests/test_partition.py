@@ -67,6 +67,17 @@ class TestRefine:
         with pytest.raises(ValueError):
             p.refine([3])
 
+    def test_repeated_element_counts_once(self):
+        # a repeat used to count as a second member: n = 3 put element
+        # 2 in the new part, and n = 2 did not split at all
+        p = OrderedPartition(3)
+        assert len(p.refine([1, 1])) == 1
+        assert parts_as_sets(p) == [{0, 2}, {1}]
+        p.check_valid()
+        p = OrderedPartition(2)
+        assert len(p.refine([1, 1])) == 1
+        assert parts_as_sets(p) == [{0}, {1}]
+
     def test_split_event_per_part(self):
         p = OrderedPartition(6)
         p.refine([0, 1, 2])
