@@ -161,12 +161,13 @@ class SLLists:
     a subsequence of the reversed LF order. The lists are stored end to
     end: list v is flat[offsets[v]:offsets[v + 1]]. keys holds the same
     (element, set) incidences as sorted int64 keys, which answers batched
-    membership queries (see contains).
+    membership queries (see contains); lists made without keys answer
+    none.
     """
 
     __slots__ = ("flat", "offsets", "keys", "_revrank")
 
-    def __init__(self, flat, offsets, keys, revrank):
+    def __init__(self, flat, offsets, keys=None, revrank=None):
         self.flat = flat
         self.offsets = offsets
         self.keys = keys

@@ -4,7 +4,7 @@ import time
 from functools import cached_property
 
 from .dgraph import build_dgraph
-from .family import build_sl_lists, lf_order
+from .family import SLLists, build_sl_lists, lf_order
 from .maxcomp import compute_bounds, compute_max, compute_pf
 from .subgraph import build_overlap_subgraph, spanning_forest
 
@@ -17,7 +17,8 @@ class PipelineResult:
     labeling is the spanning forest: the true subgraph has the same
     components as the overlap graph, and the forest labels them by
     smallest member. dgraph, the helper (Dahlhaus) graph with the same
-    components, is not needed for that and is built on first access.
+    components, is not needed for that and is built on first access
+    from sl, the SL lists without their membership keys.
     """
 
     def __init__(self, family, lf, sl, maxes, subgraph, forest, times):
@@ -70,4 +71,5 @@ def run_pipeline(f):
     times["dgraph"] = 0.0
     times["total"] = t4 - t0
 
-    return PipelineResult(f, lf, sl, maxes, sub, forest, times)
+    return PipelineResult(f, lf, SLLists(sl.flat, sl.offsets), maxes, sub,
+                          forest, times)

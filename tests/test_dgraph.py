@@ -70,6 +70,14 @@ def test_components_match_oracle_random():
         assert res.labeling.as_partition() == full.labeling.as_partition(), f.sets
 
 
+def test_result_keeps_sl_lists_without_keys(fam_a):
+    # the membership keys (|F| int64) are not kept past the run; the
+    # helper graph needs only the lists
+    res = run_pipeline(fam_a)
+    assert res.sl.keys is None
+    assert res.dgraph.edges == dahlhaus(fam_a).edges == [(0, 1), (1, 2)]
+
+
 def test_dedup_sorted_pairs_matches_set_sort():
     rng = seeded_rng(13)
     cases = [([], [], 5), ([0], [0], 1)]
