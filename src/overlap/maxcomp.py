@@ -169,7 +169,7 @@ def _name_rounds(names, length, m):
         rounds.append((cols, start, names))
 
 
-def _column_order(rounds, at):
+def _column_order(rounds):
     """The columns in lexicographic order, and per position whether its
     column differs from the one before.
 
@@ -177,8 +177,9 @@ def _column_order(rounds, at):
     columns that tie there, a column absent from round k + 1 fits in that
     block, so it equals the others that stop and is a proper prefix of
     those that go on: it comes first, and the rest keep their order of
-    round k + 1. at is scratch space with one entry per column.
+    round k + 1.
     """
+    at = np.empty(len(rounds[0][0]), dtype=np.int64)  # column -> index
     rank = None
     for cols, start, names in reversed(rounds):
         key = np.zeros(len(cols), dtype=np.int64)
@@ -196,15 +197,16 @@ def _column_order(rounds, at):
     return order, new
 
 
-def _common_prefix(rounds, at, a, b):
+def _common_prefix(rounds, a, b):
     """Per pair, the length of the longest common prefix of columns a and b.
 
     The walk goes down the rounds from the last one that holds both
     columns, where their first block covers the shorter one. With the
     prefix known to 2**(k + 1) entries, round k compares the next block
     of 2**k entries, a block past a column's end being named 0, and adds
-    2**k if it is equal in both. at is scratch space as in _column_order.
+    2**k if it is equal in both.
     """
+    at = np.empty(len(rounds[0][0]), dtype=np.int64)  # column -> index
     last = np.full(len(at), -1)
     for k, (cols, start, _) in enumerate(rounds):
         last[cols[start[1:] > start[:-1]]] = k
@@ -245,11 +247,10 @@ def compute_pf(f, lf, sl):
     # sl.flat backwards holds the column of element e at place n - 1 - e
     rounds = _name_rounds(m - lf.rank[sl.flat[::-1]],
                           np.diff(sl.offsets)[::-1], m)
-    at = np.empty(n, dtype=np.int64)
-    order, new = _column_order(rounds, at)
+    order, new = _column_order(rounds)
     cut = np.flatnonzero(new[1:]) + 1
     later = order[cut]
-    lcp = _common_prefix(rounds, at, order[cut - 1], later)
+    lcp = _common_prefix(rounds, order[cut - 1], later)
     _, start, names = rounds[0]
     row = np.full(n, m, dtype=np.int32)
     row[cut] = m - names[start[later] + lcp]
