@@ -120,17 +120,20 @@ def _sort_groups(key):
     from the entry before it (True for the first)."""
     order = np.argsort(key)
     key = key[order]
-    new = np.empty(len(key), dtype=bool)
-    new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    return order, new
+    return order, np.concatenate(([True], key[1:] != key[:-1]))
 
 
-def _name_rounds(names, length, m):
+def _block(start, names, i, q):
+    """Name of block q of each round's column i, 0 past the column's end."""
+    j = start[i] + q
+    return np.where(j < start[i + 1], names[np.minimum(j, len(names) - 1)], 0)
+
+
+def _name_rounds(names, length):
     """Names of the aligned blocks of the columns, one round per doubling.
 
     names holds the columns end to end, column c having length[c]
-    entries from 1..m. In round 0 a block is one entry and its name the
+    positive entries. In round 0 a block is one entry and its name the
     entry. Round k takes the columns that had two blocks or more in
     round k - 1, and names each of their blocks of 2**k entries by the
     dense rank, from 1, of the pair of its halves' names, a lone last
@@ -140,32 +143,26 @@ def _name_rounds(names, length, m):
     round's columns in ascending order, and their blocks' offsets into
     the names.
     """
-    cols = np.arange(len(length), dtype=np.int32)
-    start = np.zeros(len(length) + 1, dtype=np.int64)
-    np.cumsum(length, out=start[1:])
+    cols = np.arange(len(length))
+    start = np.concatenate(([0], np.cumsum(length)))
     rounds = [(cols, start, names)]
-    top = m
     while True:
         count = np.diff(start)
         go = count >= 2
         if not go.any():
             return rounds
-        cols = cols[go]
-        count = count[go]
-        half = (count + 1) >> 1
-        nstart = np.zeros(len(cols) + 1, dtype=np.int64)
-        np.cumsum(half, out=nstart[1:])
+        cols, count = cols[go], count[go]
+        half = (count + 1) // 2
+        nstart = np.concatenate(([0], np.cumsum(half)))
         left = 2 * np.arange(nstart[-1]) - np.repeat(
             2 * nstart[:-1] - start[:-1][go], half)
         right = names[np.minimum(left + 1, len(names) - 1)]
         right[nstart[1:][count % 2 == 1] - 1] = 0
-        order, new = _sort_groups(names[left].astype(np.int64) * (top + 1)
-                                  + right)
-        rank = np.cumsum(new, dtype=np.int32)
-        top = int(rank[-1])
-        names = np.empty_like(rank)
-        names[order] = rank
+        order, new = _sort_groups(names[left].astype(np.int64)
+                                  * (int(names.max()) + 1) + right)
         start = nstart
+        names = np.empty(len(order), dtype=np.int32)
+        names[order] = np.cumsum(new)
         rounds.append((cols, start, names))
 
 
@@ -182,9 +179,7 @@ def _column_order(rounds):
     at = np.empty(len(rounds[0][0]), dtype=np.int64)  # column -> index
     rank = None
     for cols, start, names in reversed(rounds):
-        key = np.zeros(len(cols), dtype=np.int64)
-        held = start[1:] > start[:-1]
-        key[held] = names[start[:-1][held]]
+        key = _block(start, names, np.arange(len(cols)), 0).astype(np.int64)
         if rank is not None:
             at[cols] = np.arange(len(cols))
             tie = np.zeros(len(cols), dtype=np.int64)
@@ -201,30 +196,26 @@ def _common_prefix(rounds, a, b):
     """Per pair, the length of the longest common prefix of columns a and b.
 
     The walk goes down the rounds from the last one that holds both
-    columns, where their first block covers the shorter one. With the
-    prefix known to 2**(k + 1) entries, round k compares the next block
-    of 2**k entries, a block past a column's end being named 0, and adds
-    2**k if it is equal in both.
+    columns, round ceil(log2 length) of the shorter one, where its first
+    block covers it. With the prefix known to 2**(k + 1) entries, round k
+    compares the next block of 2**k entries in both and adds 2**k if it
+    is equal.
     """
-    at = np.empty(len(rounds[0][0]), dtype=np.int64)  # column -> index
-    last = np.full(len(at), -1)
-    for k, (cols, start, _) in enumerate(rounds):
-        last[cols[start[1:] > start[:-1]]] = k
+    length = np.diff(rounds[0][1])
+    last = np.where(length > 0, np.frexp(length - 1)[1], -1)
     deep = np.minimum(last[a], last[b])
     by = np.argsort(deep)
     a, b, deep = a[by], b[by], deep[by]
     lcp = np.zeros(len(a), dtype=np.int64)
+    at = np.empty(len(length), dtype=np.int64)  # column -> index
     for k in range(len(rounds) - 1, -1, -1):
         cols, start, names = rounds[k]
-        walk = slice(np.searchsorted(deep, k), None)
         at[cols] = np.arange(len(cols))
-        blocks = []
-        for c in (a[walk], b[walk]):
-            i = at[c]
-            j = start[i] + (lcp[walk] >> k)
-            blocks.append(np.where(j < start[i + 1],
-                                   names[np.minimum(j, len(names) - 1)], 0))
-        lcp[walk] += (blocks[0] == blocks[1]) << k
+        w = np.searchsorted(deep, k)
+        q = lcp[w:] >> k
+        same = (_block(start, names, at[a[w:]], q)
+                == _block(start, names, at[b[w:]], q))
+        lcp[w:] += same << k
     lcp[by] = lcp.copy()
     return lcp
 
@@ -246,7 +237,7 @@ def compute_pf(f, lf, sl):
     n, m = f.n, f.m
     # sl.flat backwards holds the column of element e at place n - 1 - e
     rounds = _name_rounds(m - lf.rank[sl.flat[::-1]],
-                          np.diff(sl.offsets)[::-1], m)
+                          np.diff(sl.offsets)[::-1])
     order, new = _column_order(rounds)
     cut = np.flatnonzero(new[1:]) + 1
     later = order[cut]
