@@ -67,63 +67,36 @@ class OrderedPartition:
         prefix and a fresh part id covers the suffix. A repeat in xs is
         dropped. Runs in O(|xs|) plus one bounds update per split part.
         """
-        xs = list(dict.fromkeys(xs))
-        for e in xs:
+        members = {}
+        for e in dict.fromkeys(xs):
             if not 0 <= e < self.n:
                 raise ValueError("element %r outside universe" % (e,))
+            members.setdefault(self.part_of[e], []).append(e)
         table = self.table
         position = self.position
-        part_of = self.part_of
-        part_lo = self.part_lo
-        part_hi = self.part_hi
-        counts = {}
-        for e in xs:
-            p = part_of[e]
-            counts[p] = counts.get(p, 0) + 1
-
-        # swap each member of xs into the suffix of its part
-        placed = {}
-        for e in xs:
-            p = part_of[e]
-            k = placed.get(p, 0)
-            placed[p] = k + 1
-            target = part_hi[p] - k
-            slot = position[e]
-            other = table[target]
-            table[target] = e
-            table[slot] = other
-            position[e] = target
-            position[other] = slot
-
         events = []
-        for p, k in counts.items():
-            lo = part_lo[p]
-            hi = part_hi[p]
-            if k == hi - lo + 1:
-                continue
-            boundary = hi - k
-            newp = len(part_lo)
-            part_lo.append(boundary + 1)
-            part_hi.append(hi)
-            part_hi[p] = boundary
-            for e in table[boundary + 1:hi + 1]:
-                part_of[e] = newp
+        for p, group in members.items():
+            hi = self.part_hi[p]
+            boundary = hi - len(group)
+            if boundary < self.part_lo[p]:
+                continue  # xs holds the whole part
+            newp = len(self.part_lo)
+            for target, e in enumerate(group, boundary + 1):
+                slot = position[e]
+                other = table[target]
+                table[slot], table[target] = other, e
+                position[other], position[e] = slot, target
+                self.part_of[e] = newp
+            self.part_hi[p] = boundary
+            self.part_lo.append(boundary + 1)
+            self.part_hi.append(hi)
             events.append(SplitEvent(p, boundary, newp))
         return events
 
     def parts_in_order(self):
         """Parts left to right, each as the list of its elements."""
-        out = []
-        slot = 0
-        n = self.n
-        table = self.table
-        part_hi = self.part_hi
-        part_of = self.part_of
-        while slot < n:
-            hi = part_hi[part_of[table[slot]]]
-            out.append(table[slot:hi + 1])
-            slot = hi + 1
-        return out
+        return [self.table[lo:hi + 1]
+                for lo, hi in sorted(zip(self.part_lo, self.part_hi))]
 
     def part_bounds(self, pid):
         return self.part_lo[pid], self.part_hi[pid]
@@ -134,14 +107,11 @@ class OrderedPartition:
         assert sorted(self.table) == list(range(n))
         for e in range(n):
             assert self.table[self.position[e]] == e
-        covered = 0
-        seen_slots = set()
+        slot = 0  # the parts are non-empty intervals that tile the table
+        for lo, hi in sorted(zip(self.part_lo, self.part_hi)):
+            assert lo == slot <= hi
+            slot = hi + 1
+        assert slot == n
         for pid, (lo, hi) in enumerate(zip(self.part_lo, self.part_hi)):
-            if lo > hi:
-                continue  # ids are never reused but a part can be emptied only by bugs
-            for slot in range(lo, hi + 1):
-                assert slot not in seen_slots
-                seen_slots.add(slot)
-                assert self.part_of[self.table[slot]] == pid
-            covered += hi - lo + 1
-        assert covered == n
+            for e in self.table[lo:hi + 1]:
+                assert self.part_of[e] == pid
