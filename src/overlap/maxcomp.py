@@ -15,9 +15,10 @@ size >= |X| (None when no such Y exists). The passes are:
    at least as large; otherwise the set has no Max.
 
 A part of the refinement keeps its interval of the order for good: later
-splits stay inside the parts it splits into. So the refinement is never
-run. Pass 1 sorts the columns, each the list of LF ranks of the sets
-holding an element, by the naming of Karp, Miller and Rosenberg
+splits stay inside the parts it splits into. So every boundary lies
+between the same two positions of the final order, and the refinement
+need not be run. Pass 1 sorts the columns, each the list of LF ranks of
+the sets holding an element, by the naming of Karp, Miller and Rosenberg
 ("Rapid identification of repeated patterns in strings, trees and
 arrays", STOC 1972): each round names the aligned blocks of twice the
 length with one numpy sort, so ceil(log2 d) rounds, d the largest

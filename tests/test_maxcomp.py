@@ -32,8 +32,8 @@ def refine_all(n, seqs):
     Refines the one-part ordered partition of range(n) by each element
     set of seqs in turn: the members of a set move to the suffix of every
     part they partly hit, and a new part opens over that suffix. Returns
-    the final table, its parts left to right as lists, and every split
-    as an (r, part, boundary, hi) tuple in the order it happened: seqs[r]
+    the final parts left to right as lists, and every split as an
+    (r, part, boundary, hi) tuple in the order it happened: seqs[r]
     split the part, which kept [lo, boundary] while a new part took
     [boundary + 1, hi].
     """
@@ -71,13 +71,13 @@ def refine_all(n, seqs):
                 part_of[e] = len(part_lo) - 1
             splits.append((r, p, boundary, hi))
     parts = sorted(zip(part_lo, part_hi))
-    return table, [table[lo:hi + 1] for lo, hi in parts], splits
+    return [table[lo:hi + 1] for lo, hi in parts], splits
 
 
 def reference_pass1(f, lf):
     """refine_all over the sets in LF order, and its row: the LF rank
     of the split that opened the boundary before each position."""
-    table, parts, splits = refine_all(f.n, [f.sets[i] for i in lf.order])
+    parts, splits = refine_all(f.n, [f.sets[i] for i in lf.order])
     row = [f.m] * f.n
     for r, _, boundary, _ in splits:
         row[boundary + 1] = r
