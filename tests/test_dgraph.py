@@ -67,7 +67,39 @@ def test_components_match_oracle_random():
         f = random_family(rng, max_n=18, max_m=24)
         res = run_pipeline(f)
         full = overlap_graph_full(f)
-        assert res.labeling.as_partition() == full.labeling.as_partition(), f.sets
+        assert components(res.dgraph, f.m).as_partition() == \
+            full.labeling.as_partition(), f.sets
+
+
+def running_max_dgraph(f, sl, maxes):
+    """The helper graph by a running maximum of |Max| along each SL list.
+
+    An entry links to the one before it when some earlier entry of its
+    list has a Max at least as large as the entry. Returns the sorted
+    distinct edges and the number of links made.
+    """
+    sizes = f.sizes.tolist()
+    reach = [0 if v < 0 else sizes[v] for v in maxes.partners.tolist()]
+    flat = sl.flat.tolist()
+    offsets = sl.offsets.tolist()
+    links = []
+    for lo, hi in zip(offsets, offsets[1:]):
+        running = 0
+        for j in range(lo, hi):
+            if j > lo and sizes[flat[j]] <= running:
+                links.append(tuple(sorted((flat[j - 1], flat[j]))))
+            running = max(running, reach[flat[j]])
+    return sorted(set(links)), len(links)
+
+
+def test_dgraph_matches_running_max_scan_random():
+    rng = seeded_rng(19)
+    for k in range(600):
+        f = random_family(rng, max_n=6 if k % 3 == 0 else 20, max_m=30)
+        res = run_pipeline(f)
+        edges, raw = running_max_dgraph(f, res.sl, res.maxes)
+        assert res.dgraph.edges == edges, f.sets
+        assert res.dgraph.raw_edge_count == raw, f.sets
 
 
 def test_result_keeps_sl_lists_without_keys(fam_a):

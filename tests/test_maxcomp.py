@@ -6,6 +6,7 @@ from overlap.family import build_sl_lists, lf_order, parse_family
 from overlap.generate import gen_blocks, gen_nested, gen_star
 from overlap.maxcomp import compute_bounds, compute_max, compute_pf
 from overlap.oracle import max_oracle
+from overlap.partition import OrderedPartition
 
 from conftest import exhaustive_families, make_family, random_family, seeded_rng
 
@@ -26,62 +27,25 @@ def fast_max(f):
     return compute_max(f, lf, pf, bounds), lf
 
 
-def refine_all(n, seqs):
+def reference_pass1(f, lf):
     """Pass 1 as the paper runs it, the reference for compute_pf.
 
-    Refines the one-part ordered partition of range(n) by each element
-    set of seqs in turn: the members of a set move to the suffix of every
-    part they partly hit, and a new part opens over that suffix. Returns
-    the final parts left to right as lists, and every split as an
-    (r, part, boundary, hi) tuple in the order it happened: seqs[r]
-    split the part, which kept [lo, boundary] while a new part took
-    [boundary + 1, hi].
+    Refines the one-part ordered partition of the universe by each set in
+    LF order. Returns the final parts left to right as lists, the row (the
+    LF rank of the split that opened the boundary before each position),
+    and every split as an (r, part, boundary, hi) tuple in the order it
+    happened: the set of LF rank r split the part, which kept
+    [lo, boundary] while a new part took [boundary + 1, hi].
     """
-    table = list(range(n))
-    position = list(range(n))
-    part_of = [0] * n
-    part_lo = [0]
-    part_hi = [n - 1]
+    op = OrderedPartition(f.n)
     splits = []
-    for r, xs in enumerate(seqs):
-        counts = {}
-        for e in xs:
-            p = part_of[e]
-            counts[p] = counts.get(p, 0) + 1
-        placed = {}
-        for e in xs:
-            p = part_of[e]
-            if counts[p] == part_hi[p] - part_lo[p] + 1:
-                continue
-            target = part_hi[p] - placed.get(p, 0)
-            placed[p] = placed.get(p, 0) + 1
-            slot = position[e]
-            other = table[target]
-            table[target], table[slot] = e, other
-            position[e], position[other] = target, slot
-        for p, k in counts.items():
-            lo, hi = part_lo[p], part_hi[p]
-            if k == hi - lo + 1:
-                continue
-            boundary = hi - k
-            part_hi[p] = boundary
-            part_lo.append(boundary + 1)
-            part_hi.append(hi)
-            for e in table[boundary + 1:hi + 1]:
-                part_of[e] = len(part_lo) - 1
-            splits.append((r, p, boundary, hi))
-    parts = sorted(zip(part_lo, part_hi))
-    return [table[lo:hi + 1] for lo, hi in parts], splits
-
-
-def reference_pass1(f, lf):
-    """refine_all over the sets in LF order, and its row: the LF rank
-    of the split that opened the boundary before each position."""
-    parts, splits = refine_all(f.n, [f.sets[i] for i in lf.order])
+    for r, x in enumerate(lf.order.tolist()):
+        for ev in op.refine(f.sets[x]):
+            splits.append((r, ev.part, ev.boundary, op.part_hi[ev.new_part]))
     row = [f.m] * f.n
     for r, _, boundary, _ in splits:
         row[boundary + 1] = r
-    return parts, row, splits
+    return op.parts_in_order(), row, splits
 
 
 def twin_groups(pf, m):
