@@ -7,9 +7,9 @@ linear-size subgraph of the overlap graph with identical components and
 a spanning forest of the classes.
 """
 
-from .dgraph import (ComponentLabeling, DahlhausGraph, UnionFind,
-                     build_dgraph, components, dedup_sorted_pairs,
-                     spanning_edges)
+from .dgraph import (ComponentLabeling, SetGraph, SpanningForest, UnionFind,
+                     build_dgraph, covers, dedup_sorted_pairs, spanning_edges,
+                     spanning_forest)
 from .family import (FamilyFormatError, LFOrder, SetFamily, SLLists,
                      build_sl_lists, lf_order, parse_family)
 from .generate import (gen_blocks, gen_nested, gen_random, gen_random_sets,
@@ -20,7 +20,6 @@ from .oracle import (OracleCapExceeded, max_oracle, overlap_graph_full,
                      overlaps)
 from .partition import OrderedPartition, SplitEvent
 from .pipeline import PipelineResult, run_pipeline
-from .subgraph import (OverlapSubgraph, SpanningForest,
-                       build_overlap_subgraph, spanning_forest)
+from .subgraph import build_overlap_subgraph
 
 __version__ = "0.1.0"

@@ -203,8 +203,7 @@ def cmd_verify(args, out):
     except ValueError as exc:  # OVERLAP_ORACLE_CAP is not an integer
         _input_error(exc)
     res = run_pipeline(f)
-    from .family import lf_order
-    ok, lines = verify_result(res, full, max_oracle(f, lf_order(f)))
+    ok, lines = verify_result(res, full, max_oracle(f, res.lf))
     for line in lines:
         out.write(line + "\n")
     out.write("PASS\n" if ok else "FAIL\n")

@@ -1,15 +1,20 @@
-"""Dahlhaus graph construction and its connected components.
+"""Graphs over the sets: the SL-list cover, the helper graph and the forest.
 
-The graph links consecutive entries of the per-element SL lists whenever
-an earlier entry's Max is large enough to cover the later one. It has at
-most |F| edges yet the same connected components as the full overlap
-graph; its components are the overlap classes. Note it is generally NOT
-a subgraph of the overlap graph, so its edges mean nothing pairwise.
+Scanning an SL list (the sets holding one element, by increasing size),
+a set X with a Max opens an interval that covers the following entries Z
+while |Z| <= |Max(X)|. covers() finds, for every entry, the nearest
+earlier entry of its list whose interval covers it. Both graphs are
+built from that one scan. The helper (Dahlhaus) graph links each covered
+entry to the entry just before it in its list. It has at most |F| edges
+yet the same connected components as the full overlap graph, so
+spanning_forest(res.dgraph) gives the overlap classes. It is generally
+NOT a subgraph of the overlap graph, so its edges mean nothing pairwise.
+The true subgraph (subgraph.py) turns each cover into an overlap edge.
 
-This module also holds the one spanning-forest routine (spanning_edges)
-that the true subgraph's forest and components() share, and the one
-grouping of sets into classes (ComponentLabeling), which the forest and
-the oracle use too.
+Both graphs are SetGraphs. This module also holds the one
+spanning-forest routine (spanning_edges, spanning_forest) and the one
+grouping of sets into classes (ComponentLabeling), which the oracle uses
+too.
 """
 
 from functools import cached_property
@@ -17,10 +22,15 @@ from functools import cached_property
 import numpy as np
 
 from .family import segments
+from .maxcomp import window_levels
 
-__all__ = ["UnionFind", "DahlhausGraph", "ComponentLabeling",
-           "build_dgraph", "components", "dedup_sorted_pairs",
-           "spanning_edges"]
+__all__ = ["UnionFind", "SetGraph", "ComponentLabeling", "SpanningForest",
+           "build_dgraph", "covers", "dedup_sorted_pairs", "spanning_edges",
+           "spanning_forest"]
+
+
+def _pairs(a, b):
+    return list(zip(a.tolist(), b.tolist()))
 
 
 def dedup_sorted_pairs(ea, eb, m):
@@ -122,14 +132,23 @@ def spanning_edges(ea, eb, m):
         cb = hook[cb]
 
 
-class DahlhausGraph:
+class SetGraph:
+    """A graph over m sets: deduplicated, sorted edges (i, j) with i < j.
 
-    __slots__ = ("m", "edges", "raw_edge_count")
+    a and b are the int32 endpoint arrays and raw_edge_count the number
+    of edges made before deduplication. edges gives the same pairs as a
+    list of tuples, built on first access.
+    """
 
-    def __init__(self, m, edges, raw_edge_count):
+    def __init__(self, m, a, b, raw_edge_count):
         self.m = m
-        self.edges = edges  # deduplicated, sorted pairs (i, j) with i < j
+        self.a = a
+        self.b = b
         self.raw_edge_count = raw_edge_count
+
+    @cached_property
+    def edges(self):
+        return _pairs(self.a, self.b)
 
 
 class ComponentLabeling:
@@ -165,40 +184,91 @@ class ComponentLabeling:
         return {frozenset(c) for c in self.classes}
 
 
-def build_dgraph(f, sl, maxes):
-    """Scan every SL list once, linking under the running Max threshold.
+class SpanningForest(ComponentLabeling):
+    """The classes of a graph as a labeling, plus one spanning tree per class.
 
-    The scan is vectorized: concatenating all SL lists, the per-list
-    running maximum of |Max| falls out of one np.maximum.accumulate once
-    each list's values are lifted by list_id * BIG — a later list's
-    values then dominate every earlier one, so the accumulate restarts
-    at list boundaries by itself. An entry whose predecessor lies in
-    another list sees a negative threshold and never links.
+    Class k's tree edges are (a[j], b[j]) for j in edge_start[k] ..
+    edge_start[k + 1] - 1, in the graph's sorted order. As lists:
+    roots[k] is the smallest set of class k, members[k] (the same list as
+    classes[k]) its sets and tree_edges[k] its |class| - 1 edges; these
+    are built on first access.
     """
-    m = f.m
-    flat = sl.flat
-    if len(flat) < 2:
-        return DahlhausGraph(m, [], 0)
-    sizes = f.sizes.astype(np.int64)
+
+    def __init__(self, root, a, b):
+        super().__init__(root)
+        tree = self.class_id[a]
+        by_class = np.argsort(tree, kind="stable")
+        self.a = a[by_class]
+        self.b = b[by_class]
+        self.edge_start = np.zeros_like(self.start)
+        np.cumsum(np.bincount(tree, minlength=len(self.start) - 1),
+                  out=self.edge_start[1:])
+
+    @property
+    def roots(self):
+        return self.order[self.start[:-1]].tolist()
+
+    @property
+    def members(self):
+        return self.classes
+
+    @cached_property
+    def tree_edges(self):
+        return segments(_pairs(self.a, self.b), self.edge_start)
+
+
+def spanning_forest(g):
+    """Kruskal's forest of the SetGraph g, for its sorted edge order.
+
+    An edge is a tree edge exactly when no earlier edge already joins its
+    ends. The trees are ordered by root, the smallest set of each class,
+    and list their edges in the graph's sorted order.
+    """
+    root, kept = spanning_edges(g.a, g.b, g.m)
+    return SpanningForest(root, g.a[kept], g.b[kept])
+
+
+def _nearest_cover(reach, need, starts):
+    """Per query j, the largest i in [starts[j], j) with reach[i] >= need[j].
+
+    Returns -1 where there is none. Binary lifting over a table of window
+    maxima: level k holds the maximum of reach over the 2**k entries
+    ending at each index, and every query walks left over whole windows
+    that cannot cover it, largest window first.
+    """
+    q = np.arange(len(need), dtype=np.int32)
+    levels = list(window_levels(reach, int((q - starts).max(initial=0)),
+                                np.maximum))
+    cur = q - 1
+    for k in range(len(levels) - 1, -1, -1):
+        jump = levels[k][np.maximum(cur, 0)] < need
+        np.subtract(cur, 1 << k, out=cur, where=jump)
+    found = (cur >= starts) & (reach[np.maximum(cur, 0)] >= need)
+    return np.where(found, cur, -1)
+
+
+def covers(f, sl, maxes):
+    """Per entry of sl.flat, the index of the entry that covers it, or -1.
+
+    That is the nearest earlier entry of the same SL list whose Max is at
+    least as large as the entry's set.
+    """
     mx = maxes.partners
-    mx_size = np.where(mx >= 0, sizes[mx], 0)
-    seg = np.repeat(np.arange(f.n, dtype=np.int64), np.diff(sl.offsets))
-    big = f.n + 1
-    running = np.maximum.accumulate(mx_size[flat] + seg * big)
-    threshold = running[:-1] - seg[1:] * big
-    cur = flat[1:]
-    prev = flat[:-1]
-    mask = sizes[cur] <= threshold
-    a = prev[mask]
-    b = cur[mask]
-    raw = len(a)
-    if raw > f.total_size:
+    sizes = f.sizes
+    reach = np.where(mx >= 0, sizes[mx], 0).astype(
+        np.min_scalar_type(sizes.max()))
+    flat = sl.flat
+    starts = np.repeat(sl.offsets[:-1].astype(np.int32), np.diff(sl.offsets))
+    return _nearest_cover(reach[flat], sizes[flat], starts)
+
+
+def build_dgraph(f, sl, maxes):
+    """The helper graph: each covered SL entry linked to the one before it."""
+    j = np.flatnonzero(covers(f, sl, maxes) >= 0)
+    prev = sl.flat[j - 1]
+    cur = sl.flat[j]
+    if len(j) > f.total_size:
         raise AssertionError(
-            "created %d edges for |F| = %d" % (raw, f.total_size))
-    a, b = dedup_sorted_pairs(np.minimum(a, b), np.maximum(a, b), m)
-    return DahlhausGraph(m, list(zip(a.tolist(), b.tolist())), raw)
-
-
-def components(g, m):
-    a, b = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
-    return ComponentLabeling(spanning_edges(a, b, m)[0])
+            "created %d edges for |F| = %d" % (len(j), f.total_size))
+    a, b = dedup_sorted_pairs(np.minimum(prev, cur), np.maximum(prev, cur), f.m)
+    return SetGraph(f.m, a, b, len(j))

@@ -271,7 +271,7 @@ def compute_max(f, lf, pf, bounds):
     as soon as it is built. The refiner is X's Max if it is at least as
     large as X; otherwise X is dropped by size, since later refiners are
     no larger. The pass is O((n + m) log w) numpy work for the longest
-    window w, against pass 1's Python loop over |F|.
+    window w.
     """
     left = bounds.left
     right = bounds.right

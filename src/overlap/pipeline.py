@@ -3,10 +3,10 @@
 import time
 from functools import cached_property
 
-from .dgraph import build_dgraph
+from .dgraph import build_dgraph, spanning_forest
 from .family import SLLists, build_sl_lists, lf_order
 from .maxcomp import compute_bounds, compute_max, compute_pf
-from .subgraph import build_overlap_subgraph, spanning_forest
+from .subgraph import build_overlap_subgraph
 
 __all__ = ["PipelineResult", "run_pipeline"]
 
@@ -17,8 +17,9 @@ class PipelineResult:
     labeling is the spanning forest: the true subgraph has the same
     components as the overlap graph, and the forest labels them by
     smallest member. dgraph, the helper (Dahlhaus) graph with the same
-    components, is not needed for that and is built on first access
-    from sl, the SL lists without their membership keys.
+    components (spanning_forest(res.dgraph) gives them), is not needed
+    for that and is built on first access from sl, the SL lists without
+    their membership keys.
     """
 
     def __init__(self, family, lf, sl, maxes, subgraph, forest, times):
@@ -65,7 +66,7 @@ def run_pipeline(f):
     t3 = clock()
     times["subgraph"] = t3 - t2
 
-    forest = spanning_forest(sub, f.m)
+    forest = spanning_forest(sub)
     t4 = clock()
     times["forest"] = t4 - t3
     times["dgraph"] = 0.0

@@ -1,5 +1,7 @@
-from overlap.dgraph import (DahlhausGraph, build_dgraph, components,
-                            dedup_sorted_pairs)
+import numpy as np
+
+from overlap.dgraph import (SetGraph, build_dgraph, dedup_sorted_pairs,
+                            spanning_forest)
 from overlap.family import build_sl_lists, lf_order
 from overlap.maxcomp import compute_bounds, compute_max, compute_pf
 from overlap.oracle import overlap_graph_full
@@ -17,6 +19,11 @@ def dahlhaus(f):
     return build_dgraph(f, sl, maxes)
 
 
+def graph(m, edges):
+    a, b = np.array(edges, dtype=np.int32).reshape(-1, 2).T
+    return SetGraph(m, a, b, len(edges))
+
+
 class TestBuild:
 
     def test_fam_a_edges(self, fam_a):
@@ -31,7 +38,7 @@ class TestBuild:
         f = make_family(*[[0, i] for i in range(1, 6)])
         g = dahlhaus(f)
         assert g.raw_edge_count <= f.total_size == 10
-        assert len(components(g, f.m).classes) == 1
+        assert len(spanning_forest(g).classes) == 1
 
     def test_raw_edge_bound_random(self):
         rng = seeded_rng(5)
@@ -44,20 +51,20 @@ class TestBuild:
 class TestComponents:
 
     def test_fam_a_classes(self, fam_a):
-        lab = components(dahlhaus(fam_a), fam_a.m)
+        lab = spanning_forest(dahlhaus(fam_a))
         assert lab.classes == [[0, 1, 2], [3]]
         assert lab.class_id.tolist() == [0, 0, 0, 1]
 
     def test_edgeless(self):
-        lab = components(DahlhausGraph(3, [], 0), 3)
+        lab = spanning_forest(graph(3, []))
         assert lab.classes == [[0], [1], [2]]
 
     def test_path_graph_single_class(self):
-        lab = components(DahlhausGraph(4, [(0, 1), (1, 2), (2, 3)], 3), 4)
+        lab = spanning_forest(graph(4, [(0, 1), (1, 2), (2, 3)]))
         assert lab.classes == [[0, 1, 2, 3]]
 
     def test_ids_by_smallest_member(self):
-        lab = components(DahlhausGraph(4, [(2, 3)], 1), 4)
+        lab = spanning_forest(graph(4, [(2, 3)]))
         assert lab.class_id.tolist() == [0, 1, 2, 2]
 
 
@@ -67,7 +74,7 @@ def test_components_match_oracle_random():
         f = random_family(rng, max_n=18, max_m=24)
         res = run_pipeline(f)
         full = overlap_graph_full(f)
-        assert components(res.dgraph, f.m).as_partition() == \
+        assert spanning_forest(res.dgraph).as_partition() == \
             full.labeling.as_partition(), f.sets
 
 

@@ -5,8 +5,7 @@ from overlap.family import build_sl_lists, lf_order
 from overlap.maxcomp import compute_bounds, compute_max, compute_pf
 from overlap.oracle import overlap_graph_full, overlaps
 from overlap.pipeline import run_pipeline
-from overlap.subgraph import (_collect, _resolve, build_overlap_subgraph,
-                              spanning_forest)
+from overlap.subgraph import _collect, _resolve, build_overlap_subgraph
 
 from conftest import make_family, random_family, seeded_rng
 
