@@ -265,10 +265,10 @@ def covers(f, sl, maxes):
 def build_dgraph(f, sl, maxes):
     """The helper graph: each covered SL entry linked to the one before it."""
     j = np.flatnonzero(covers(f, sl, maxes) >= 0)
-    prev = sl.flat[j - 1]
-    cur = sl.flat[j]
     if len(j) > f.total_size:
         raise AssertionError(
             "created %d edges for |F| = %d" % (len(j), f.total_size))
+    prev = sl.flat[j - 1]
+    cur = sl.flat[j]
     a, b = dedup_sorted_pairs(np.minimum(prev, cur), np.maximum(prev, cur), f.m)
     return SetGraph(f.m, a, b, len(j))
