@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -206,6 +207,12 @@ class TestBench:
         assert len(lines) == 3
         sizes = [int(line.split(",")[0]) for line in lines[1:]]
         assert sizes == sorted(sizes)
+        # total_size, the six stage times, then the ratio
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == 8
+            for field in fields[1:7]:
+                assert re.fullmatch(r"\d+\.\d{6}", field)
         # first row has no ratio, second does
         assert lines[1].endswith(",")
         assert float(lines[2].rsplit(",", 1)[1]) > 0
