@@ -21,7 +21,9 @@ from .pipeline import run_pipeline
 
 __all__ = ["main", "entry", "bench_rows", "verify_result"]
 
-BENCH_HEADER = "total_size,orders,maxcomp,dgraph,subgraph,forest,total,ratio"
+# the timed columns of a bench row: run_pipeline's stage times and total
+BENCH_STAGES = ("orders", "maxcomp", "dgraph", "subgraph", "forest", "total")
+BENCH_HEADER = ",".join(("total_size",) + BENCH_STAGES + ("ratio",))
 BENCH_SECONDS = 2.0
 
 
@@ -235,17 +237,17 @@ def cmd_gen(args, out):
     return 0
 
 
-def bench_one(target, seed, repeats=2):
+def bench_one(target, seed):
     """Time one random instance of roughly |F| = target.
 
     The target maps to about target/8 sets of mean size 8. GC is paused
     around the timed runs to keep the numbers honest. The run is repeated
-    at least `repeats` times and until the runs have taken
-    BENCH_SECONDS in all, and the mean time per run is kept: on a shared
-    host the core's speed swings from one fraction of a second to the
-    next, so the fastest of a few runs mostly measures the luckiest
-    spell, and how lucky differs from one instance to the next. Returns
-    the mean per-stage wall times plus the instance's exact total size.
+    at least twice and until the runs have taken BENCH_SECONDS in all,
+    and the mean time per run is kept: on a shared host the core's speed
+    swings from one fraction of a second to the next, so the fastest of a
+    few runs mostly measures the luckiest spell, and how lucky differs
+    from one instance to the next. Returns the mean per-stage wall times
+    plus the instance's exact total size.
     """
     m = max(1, target // 8)
     n = max(4, m // 2)
@@ -256,7 +258,7 @@ def bench_one(target, seed, repeats=2):
     gc.collect()
     gc.disable()
     try:
-        while runs < repeats or sums["total"] < BENCH_SECONDS:
+        while runs < 2 or sums["total"] < BENCH_SECONDS:
             for k, v in run_pipeline(f).times.items():
                 sums[k] = sums.get(k, 0.0) + v
             runs += 1
@@ -288,18 +290,9 @@ def bench_rows(sizes, seed, isolate=False):
             t = json.loads(proc.stdout)
         else:
             t = bench_one(target, seed)
-        ratio = "" if prev_total is None else "%.3f" % (t["total"] / prev_total)
+        t["ratio"] = "%.3f" % (t["total"] / prev_total) if prev_total else ""
         prev_total = t["total"]
-        rows.append({
-            "total_size": t["total_size"],
-            "orders": t["orders"],
-            "maxcomp": t["maxcomp"],
-            "dgraph": t["dgraph"],
-            "subgraph": t["subgraph"],
-            "forest": t["forest"],
-            "total": t["total"],
-            "ratio": ratio,
-        })
+        rows.append(t)
     return rows
 
 
@@ -309,11 +302,10 @@ def cmd_bench(args, out):
     except ValueError as exc:
         _input_error(exc)
     rows = bench_rows(sizes, args.seed, isolate=True)
+    row = "%%(total_size)d,%s,%%(ratio)s\n" % ",".join(
+        "%%(%s).6f" % k for k in BENCH_STAGES)
     out.write(BENCH_HEADER + "\n")
-    for r in rows:
-        out.write("%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s\n" % (
-            r["total_size"], r["orders"], r["maxcomp"], r["dgraph"],
-            r["subgraph"], r["forest"], r["total"], r["ratio"]))
+    out.writelines(row % r for r in rows)
     return 0
 
 

@@ -2,9 +2,10 @@
 
 Scanning an SL list (the sets holding one element, by increasing size),
 a set X with a Max opens an interval that covers the following entries Z
-while |Z| <= |Max(X)|. covers() finds, for every entry, the nearest
-earlier entry of its list whose interval covers it. Both graphs are
-built from that one scan. The helper (Dahlhaus) graph links each covered
+while |Z| <= |Max(X)|. covers() returns every covered entry paired with
+the nearest earlier entry of its list whose interval covers it; when no
+set has a Max nothing is covered and both are empty. Both graphs are
+built from those pairs. The helper (Dahlhaus) graph links each covered
 entry to the entry just before it in its list. It has at most |F| edges
 yet the same connected components as the full overlap graph, so
 spanning_forest(res.dgraph) gives the overlap classes. It is generally
@@ -229,12 +230,13 @@ def spanning_forest(g):
 
 
 def _nearest_cover(reach, need, starts):
-    """Per query j, the largest i in [starts[j], j) with reach[i] >= need[j].
+    """The queries j that have an i in [starts[j], j) with reach[i] >=
+    need[j], and for each the largest such i, as two index arrays.
 
-    Returns -1 where there is none. Binary lifting over a table of window
-    maxima: level k holds the maximum of reach over the 2**k entries
-    ending at each index, and every query walks left over whole windows
-    that cannot cover it, largest window first.
+    Binary lifting over a table of window maxima: level k holds the
+    maximum of reach over the 2**k entries ending at each index, and every
+    query walks left over whole windows that cannot cover it, largest
+    window first.
     """
     q = np.arange(len(need), dtype=np.int32)
     levels = list(window_levels(reach, int((q - starts).max(initial=0)),
@@ -243,17 +245,21 @@ def _nearest_cover(reach, need, starts):
     for k in range(len(levels) - 1, -1, -1):
         jump = levels[k][np.maximum(cur, 0)] < need
         np.subtract(cur, 1 << k, out=cur, where=jump)
-    found = (cur >= starts) & (reach[np.maximum(cur, 0)] >= need)
-    return np.where(found, cur, -1)
+    j = np.flatnonzero((cur >= starts) & (reach[np.maximum(cur, 0)] >= need))
+    return j, cur[j]
 
 
 def covers(f, sl, maxes):
-    """Per entry of sl.flat, the index of the entry that covers it, or -1.
+    """Every covered entry of sl.flat and the entry that covers it.
 
-    That is the nearest earlier entry of the same SL list whose Max is at
-    least as large as the entry's set.
+    Returns two index arrays into sl.flat, covered and by: by[k] is the
+    nearest earlier entry of covered[k]'s SL list whose Max is at least as
+    large as covered[k]'s set. Only a set with a Max covers, so when no
+    set has one both arrays are empty and no window table is built.
     """
     mx = maxes.partners
+    if not (mx >= 0).any():
+        return np.zeros(0, np.int32), np.zeros(0, np.int32)
     sizes = f.sizes
     reach = np.where(mx >= 0, sizes[mx], 0).astype(
         np.min_scalar_type(sizes.max()))
@@ -264,7 +270,7 @@ def covers(f, sl, maxes):
 
 def build_dgraph(f, sl, maxes):
     """The helper graph: each covered SL entry linked to the one before it."""
-    j = np.flatnonzero(covers(f, sl, maxes) >= 0)
+    j, _ = covers(f, sl, maxes)
     if len(j) > f.total_size:
         raise AssertionError(
             "created %d edges for |F| = %d" % (len(j), f.total_size))

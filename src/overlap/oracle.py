@@ -56,9 +56,9 @@ class OverlapGraphFull:
         self.labeling = labeling
 
 
-def overlap_graph_full(f, cap=None):
-    """Test all m(m-1)/2 pairs; refuses families larger than the cap."""
-    limit = oracle_cap() if cap is None else cap
+def overlap_graph_full(f):
+    """Test all m(m-1)/2 pairs; refuses families larger than oracle_cap()."""
+    limit = oracle_cap()
     if f.m > limit:
         raise OracleCapExceeded(
             "family has m = %d sets, oracle cap is %d" % (f.m, limit))

@@ -21,22 +21,18 @@ def _collect(f, sl, maxes):
     """Base edge endpoints (with duplicates) and quintuples, all as
     parallel arrays.
 
-    A covered SL entry Z (other than X and Max(X) themselves) yields one
-    quintuple against the entry X that covers it: the nearest earlier
-    entry of its list whose Max is at least as large as Z.
+    A covered SL entry Z other than Max(X) yields one quintuple against
+    the entry X that covers it: the nearest earlier entry of its list
+    whose Max is at least as large as Z. X lies strictly earlier in the
+    same list and a set appears once per list, so Z is never X.
     """
     mx = maxes.partners
     has = np.flatnonzero(mx >= 0).astype(np.int32)
     ea = np.minimum(has, mx[has])
     eb = np.maximum(has, mx[has])
-    if not len(has):  # no set has a Max, so no interval covers anything
-        return ea, eb, has, has
-
-    cover = covers(f, sl, maxes)
-    hit = np.flatnonzero(cover >= 0)
-    qx = sl.flat[cover[hit]]
-    qy = sl.flat[hit]
-    keep = (qy != qx) & (qy != mx[qx])
+    covered, by = covers(f, sl, maxes)
+    qx, qy = sl.flat[by], sl.flat[covered]
+    keep = qy != mx[qx]
     return ea, eb, qx[keep], qy[keep]
 
 

@@ -1,11 +1,14 @@
 import numpy as np
 
+import overlap.dgraph
 from overlap.dgraph import (SetGraph, build_dgraph, dedup_sorted_pairs,
                             spanning_forest)
-from overlap.family import build_sl_lists, lf_order
+from overlap.family import build_sl_lists, lf_order, parse_family
+from overlap.generate import gen_nested
 from overlap.maxcomp import compute_bounds, compute_max, compute_pf
 from overlap.oracle import overlap_graph_full
 from overlap.pipeline import run_pipeline
+from overlap.subgraph import build_overlap_subgraph
 
 from conftest import make_family, random_family, seeded_rng
 
@@ -107,6 +110,29 @@ def test_dgraph_matches_running_max_scan_random():
         edges, raw = running_max_dgraph(f, res.sl, res.maxes)
         assert res.dgraph.edges == edges, f.sets
         assert res.dgraph.raw_edge_count == raw, f.sets
+
+
+def test_maxless_family_builds_no_window_table(monkeypatch):
+    # only a set with a Max covers, so with none both graphs are edgeless
+    # without the cover walk's window table
+    runs = []
+    for f in (parse_family(gen_nested(40)), make_family([0, 1], [2, 3], [4])):
+        lf = lf_order(f)
+        sl = build_sl_lists(f, lf)
+        pf = compute_pf(f, lf, sl)
+        bounds = compute_bounds(f, pf)
+        maxes = compute_max(f, lf, pf, bounds)
+        assert (maxes.partners < 0).all()
+        runs.append((f, sl, maxes, bounds, pf, run_pipeline(f)))
+
+    def refuse(*args):
+        raise AssertionError("window table built for a family with no Max")
+
+    monkeypatch.setattr(overlap.dgraph, "window_levels", refuse)
+    for f, sl, maxes, bounds, pf, res in runs:
+        assert res.dgraph.edges == [] and res.dgraph.raw_edge_count == 0
+        sub = build_overlap_subgraph(f, sl, maxes, bounds, pf)
+        assert sub.edges == [] and sub.raw_edge_count == 0
 
 
 def test_result_keeps_sl_lists_without_keys(fam_a):

@@ -4,8 +4,9 @@ import pytest
 
 from overlap.family import lf_order, parse_family
 from overlap.generate import gen_star
-from overlap.oracle import (OracleCapExceeded, max_oracle, oracle_cap,
-                            overlap_graph_full, overlaps)
+from overlap.oracle import (DEFAULT_ORACLE_CAP, OracleCapExceeded,
+                            max_oracle, oracle_cap, overlap_graph_full,
+                            overlaps)
 from overlap.pipeline import run_pipeline
 
 from conftest import make_family, random_family, seeded_rng
@@ -50,10 +51,12 @@ class TestFullGraph:
         assert full.edges == []
         assert len(full.labeling.classes) == 3
 
-    def test_cap_refusal(self):
-        f = parse_family(gen_star(10))
+    def test_cap_refusal(self, monkeypatch):
+        # refused before any pair is tested, so the quadratic loop never runs
+        monkeypatch.delenv("OVERLAP_ORACLE_CAP", raising=False)
+        f = parse_family(gen_star(DEFAULT_ORACLE_CAP + 1))
         with pytest.raises(OracleCapExceeded):
-            overlap_graph_full(f, cap=5)
+            overlap_graph_full(f)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("OVERLAP_ORACLE_CAP", "7")
