@@ -39,7 +39,9 @@ def _input_error(exc):
 
 def _load(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # become part of the first token
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_family(fh)
     except (OSError, UnicodeDecodeError, FamilyFormatError) as exc:
         _input_error(exc)

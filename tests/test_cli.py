@@ -330,6 +330,22 @@ def test_output_bytes_golden(mode, tmp_path):
     assert digest.hexdigest() == GOLDEN_SHA256[mode]
 
 
+@pytest.mark.parametrize("mode", sorted(GOLDEN_SHA256))
+def test_byte_order_mark_is_ignored(mode, tmp_path):
+    # with the mark read as text, the first token would be "\ufeffa", an
+    # element other than "a", and the two equal sets would overlap
+    text = "a b\nb a\n"
+    outs = []
+    for name, data in (("plain", text.encode()),
+                       ("bom", b"\xef\xbb\xbf" + text.encode())):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out = run_cli(*mode.split(), str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def reference_json(res, with_forest):
     """The --json bytes as json.dumps wrote them from Python lists."""
     payload = {
