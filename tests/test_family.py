@@ -1,11 +1,12 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlap.family import (FamilyFormatError, SetFamily, build_sl_lists,
-                            lf_order, parse_family)
+                            lf_order, parse_family, sort_order)
 
 from conftest import FAM_A_TEXT, make_family, random_family, seeded_rng
 
@@ -234,3 +235,88 @@ def test_parse_matches_per_line_interning_random():
         assert got.sizes.tolist() == want.sizes.tolist(), repr(text)
         assert got.offsets.tolist() == want.offsets.tolist(), repr(text)
     assert 0 < errors < 300
+
+
+def assert_sorts_like_stable_argsort(key):
+    order, sorted_key = sort_order(key)
+    assert order.tolist() == np.argsort(key, kind="stable").tolist()
+    assert sorted_key.tolist() == np.sort(key).tolist()
+
+
+def count_argsort(monkeypatch):
+    """Patch np.argsort to count its calls; returns the running count."""
+    calls = []
+    argsort = np.argsort
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    return calls
+
+
+class TestSortOrder:
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_random_keys(self, dtype):
+        rng = np.random.default_rng(5)
+        info = np.iinfo(dtype)
+        for n in (2, 3, 17, 100, 1000, 5000):
+            for lo, hi in ((0, 2), (-3, 3), (0, 1000), (-10**6, 10**6),
+                           (info.min, info.max)):
+                assert_sorts_like_stable_argsort(
+                    rng.integers(lo, hi, n, endpoint=True, dtype=dtype))
+
+    def test_negative_sizes_as_lf_order_sorts_them(self):
+        sizes = np.array([3, 1, 3, 2, 1, 3], dtype=np.int32)
+        assert sort_order(-sizes)[0].tolist() == [0, 2, 5, 3, 1, 4]
+        assert sort_order(-sizes)[1].tolist() == [-3, -3, -3, -2, -1, -1]
+
+    def test_empty_single_and_all_equal(self):
+        for key in (np.zeros(0, dtype=np.int64), np.array([-7]),
+                    np.full(1000, 42, dtype=np.int32),
+                    np.full(3, np.iinfo(np.int64).min)):
+            assert_sorts_like_stable_argsort(key)
+
+    def test_heavy_ties(self):
+        rng = np.random.default_rng(6)
+        for n in (50, 4096, 100000):
+            assert_sorts_like_stable_argsort(rng.integers(0, 4, n))
+            assert_sorts_like_stable_argsort(
+                rng.choice([-2**62, 0, 2**62], n))
+
+    @pytest.mark.parametrize("n, index_bits", [(8, 3), (9, 4), (1024, 10),
+                                               (1025, 11)])
+    @pytest.mark.parametrize("width", [63, 64])
+    def test_both_sides_of_63_bits(self, monkeypatch, n, index_bits, width):
+        """A key span of width - index_bits bits packs at 63 bits and takes
+        the argsort fallback at 64."""
+        span = 1 << (width - index_bits - 1)  # bit length width - index_bits
+        rng = np.random.default_rng(n + width)
+        low = -2**40
+        key = rng.choice([low, low + span // 3, low + span], n)
+        key[:2] = low + span, low
+        calls = count_argsort(monkeypatch)
+        order, sorted_key = sort_order(key)
+        assert calls == ([] if width == 63 else [None])
+        monkeypatch.undo()
+        assert order.tolist() == np.argsort(key, kind="stable").tolist()
+        assert sorted_key.tolist() == np.sort(key).tolist()
+
+    def test_fallback_runs_on_full_int64_range(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        key = rng.choice(np.array([np.iinfo(np.int64).min, -1, 0,
+                                   np.iinfo(np.int64).max]), 3000)
+        calls = count_argsort(monkeypatch)
+        order, sorted_key = sort_order(key)
+        assert calls == [None]
+        monkeypatch.undo()
+        assert order.tolist() == np.argsort(key, kind="stable").tolist()
+        assert sorted_key.tolist() == np.sort(key).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3),
+                    max_size=60))
+    def test_any_int64_keys(self, values):
+        assert_sorts_like_stable_argsort(np.array(values, dtype=np.int64))
