@@ -15,14 +15,15 @@ The true subgraph (subgraph.py) turns each cover into an overlap edge.
 Both graphs are SetGraphs. This module also holds the one
 spanning-forest routine (spanning_edges, spanning_forest) and the one
 grouping of sets into classes (ComponentLabeling), which the oracle uses
-too.
+too. ComponentLabeling and SpanningForest order the sets and the tree
+edges by class with family.sort_order.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .family import segments
+from .family import segments, sort_order
 from .maxcomp import window_levels
 
 __all__ = ["UnionFind", "SetGraph", "ComponentLabeling", "SpanningForest",
@@ -171,7 +172,7 @@ class ComponentLabeling:
         smallest = smallest[root]  # per set, the smallest set of its class
         self.class_id = (np.cumsum(smallest == ids, dtype=np.int32)
                          - 1)[smallest]
-        self.order = np.argsort(self.class_id, kind="stable").astype(np.int32)
+        self.order = sort_order(self.class_id)[0].astype(np.int32)
         sizes = np.bincount(self.class_id)
         self.start = np.zeros(len(sizes) + 1, dtype=np.int32)
         np.cumsum(sizes, out=self.start[1:])
@@ -198,7 +199,7 @@ class SpanningForest(ComponentLabeling):
     def __init__(self, root, a, b):
         super().__init__(root)
         tree = self.class_id[a]
-        by_class = np.argsort(tree, kind="stable")
+        by_class = sort_order(tree)[0]
         self.a = a[by_class]
         self.b = b[by_class]
         self.edge_start = np.zeros_like(self.start)

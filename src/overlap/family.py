@@ -3,6 +3,10 @@
 A family is m subsets of a universe of n elements. Elements are interned
 to dense indices; all algorithms downstream work on indices only and the
 original tokens are kept solely for output.
+
+sort_order is the one sort kernel of the package: every stable ordering
+it makes, here and in maxcomp and dgraph, packs each key with its index
+into one int64 and sorts those with np.sort.
 """
 
 import io
@@ -131,12 +135,10 @@ class SetFamily:
         if outside.any():
             raise ValueError("element index %r out of range"
                              % (int(elems[outside.argmax()]),))
-        # a stable sort of set * n + element keys puts the repeats of an
-        # element within its set right after it
-        keys = np.repeat(np.arange(self.m, dtype=np.int64) * self.n,
-                         sizes) + elems
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        # sort_order, stable, puts the repeats of an element within its
+        # set right after it in the set * n + element keys
+        order, keys = sort_order(np.repeat(
+            np.arange(self.m, dtype=np.int64) * self.n, sizes) + elems)
         rep = np.zeros(len(keys), dtype=bool)
         rep[order[1:]] = keys[1:] == keys[:-1]
         if rep.any():
@@ -223,12 +225,11 @@ class SLLists:
         """Per query i, whether set sets[i] contains element elems[i].
 
         One binary search per query into the sorted incidence keys; the
-        queries are sorted first, which keeps the searches cache-friendly.
+        queries are sorted first by sort_order, which keeps the searches
+        cache-friendly.
         """
         m = len(self._revrank)
-        q = elems.astype(np.int64) * m + self._revrank[sets]
-        perm = np.argsort(q)
-        q = q[perm]
+        perm, q = sort_order(elems.astype(np.int64) * m + self._revrank[sets])
         hit = np.searchsorted(self.keys, q)
         np.minimum(hit, len(self.keys) - 1, out=hit)
         found = np.empty(len(q), dtype=bool)
@@ -271,8 +272,9 @@ def parse_family(source):
 
 
 def lf_order(f):
-    """Sort the sets by decreasing size, stable on input index."""
-    return LFOrder(np.argsort(-f.sizes, kind="stable"))
+    """Sort the sets by decreasing size, stable on input index (sort_order
+    of the negated sizes)."""
+    return LFOrder(sort_order(-f.sizes)[0])
 
 
 def build_sl_lists(f, lf):

@@ -21,12 +21,15 @@ need not be run. Pass 1 sorts the columns, each the list of LF ranks of
 the sets holding an element, by the naming of Karp, Miller and Rosenberg
 ("Rapid identification of repeated patterns in strings, trees and
 arrays", STOC 1972): each round names the aligned blocks of twice the
-length with one numpy sort, so ceil(log2 d) rounds, d the largest
-column, sort about |F| keys in all. The split between two adjacent
-columns is their first difference, found by walking down the rounds.
+length with one sort_order call (family.py), so ceil(log2 d) rounds, d
+the largest column, sort about |F| keys in all. The split between two
+adjacent columns is their first difference, found by walking down the
+rounds.
 """
 
 import numpy as np
+
+from .family import sort_order
 
 __all__ = [
     "PfOrder",
@@ -117,10 +120,9 @@ def window_levels(values, span, op):
 
 
 def _sort_groups(key):
-    """The order that sorts key, and per sorted entry whether it differs
-    from the entry before it (True for the first)."""
-    order = np.argsort(key)
-    key = key[order]
+    """The order that sorts key (sort_order's), and per sorted entry
+    whether it differs from the entry before it (True for the first)."""
+    order, key = sort_order(key)
     return order, np.concatenate(([True], key[1:] != key[:-1]))
 
 
@@ -205,8 +207,8 @@ def _common_prefix(rounds, a, b):
     length = np.diff(rounds[0][1])
     last = np.where(length > 0, np.frexp(length - 1)[1], -1)
     deep = np.minimum(last[a], last[b])
-    by = np.argsort(deep)
-    a, b, deep = a[by], b[by], deep[by]
+    by, deep = sort_order(deep)
+    a, b = a[by], b[by]
     lcp = np.zeros(len(a), dtype=np.int64)
     at = np.empty(len(length), dtype=np.int64)  # column -> index
     for k in range(len(rounds) - 1, -1, -1):
