@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from overlap.family import (FamilyFormatError, SetFamily, build_sl_lists,
                             lf_order, parse_family, sort_order)
+from overlap.generate import gen_nested
+from overlap.pipeline import run_pipeline
 
 from conftest import FAM_A_TEXT, make_family, random_family, seeded_rng
 
@@ -235,6 +238,23 @@ def test_parse_matches_per_line_interning_random():
         assert got.sizes.tolist() == want.sizes.tolist(), repr(text)
         assert got.offsets.tolist() == want.offsets.tolist(), repr(text)
     assert 0 < errors < 300
+
+
+def traced_peak(fn, arg):
+    """fn(arg) and the peak of the memory tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return fn(arg), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_peak_memory_within_pipeline_peak():
+    # parsing must not set a CLI call's peak memory: on nested families,
+    # whose pipeline is light, it stays under the pipeline's own peak
+    f, parse_peak = traced_peak(parse_family, gen_nested(512))
+    _, pipeline_peak = traced_peak(run_pipeline, f)
+    assert parse_peak <= pipeline_peak
 
 
 def assert_sorts_like_stable_argsort(key):
