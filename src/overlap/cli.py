@@ -39,10 +39,8 @@ def _input_error(exc):
 
 def _load(path):
     try:
-        # utf-8-sig drops a leading byte-order mark, which would otherwise
-        # become part of the first token
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return parse_family(fh)
+        with open(path, "rb") as fh:
+            return parse_family(fh.read())
     except (OSError, UnicodeDecodeError, FamilyFormatError) as exc:
         _input_error(exc)
 

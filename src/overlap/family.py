@@ -2,14 +2,15 @@
 
 A family is m subsets of a universe of n elements. Elements are interned
 to dense indices; all algorithms downstream work on indices only and the
-original tokens are kept solely for output.
+original tokens are kept solely for output. parse_family reads the text
+format from its UTF-8 bytes with numpy and interns the tokens through
+sort_order.
 
 sort_order is the one sort kernel of the package: every ordering made
 here and in maxcomp and dgraph packs each key with its index into one
 int64 and sorts those with np.sort.
 """
 
-import io
 import operator
 from collections import defaultdict
 from functools import cached_property
@@ -90,9 +91,9 @@ def _flatten(rows, lookup):
     Both come back as int32 arrays. Each row is looked up in one C-level
     pass (list += map), which keeps only references to the ints lookup
     returns; a list grows faster here than an array('i'), which appends
-    item by item. parse_family and from_elements look labels up in a
-    defaultdict whose default_factory is its own __len__, which numbers
-    each label on first appearance.
+    item by item. from_elements looks labels up in a defaultdict whose
+    default_factory is its own __len__, which numbers each label on first
+    appearance; SetFamily passes element indices through operator.index.
     """
     elems = []
     sizes = []
@@ -238,38 +239,183 @@ class SLLists:
         return found
 
 
+# The code points above ASCII that str.split splits at, that is
+# [c for c in range(128, 0x110000) if chr(c).isspace()].
+UNICODE_SPACES = (0x85, 0xa0, 0x1680, 0x2000, 0x2001, 0x2002, 0x2003,
+                  0x2004, 0x2005, 0x2006, 0x2007, 0x2008, 0x2009, 0x200a,
+                  0x2028, 0x2029, 0x202f, 0x205f, 0x3000)
+_TO_SPACE = dict.fromkeys(UNICODE_SPACES, " ")
+_UNIVERSE = np.frombuffer(b"!universe", dtype=np.uint8)
+# by token length up to 8: the mask of its bytes in a little-endian word
+# and the bit above them; all tokens of 8 bytes or more share 2**57
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)] + [0],
+                      dtype=np.uint64)
+_LENGTH_BIT = np.array([1 << 8 * k for k in range(8)] + [1 << 57],
+                       dtype=np.uint64)
+
+
+def _utf8(source):
+    """The family text as UTF-8 bytes whose only whitespace is ASCII.
+
+    ASCII bytes come back as they are. Other input is decoded, which
+    raises UnicodeDecodeError on bytes that are not UTF-8, loses a
+    leading byte-order mark, has its non-ASCII whitespace turned into
+    spaces and is encoded again.
+    """
+    data = source.read() if hasattr(source, "read") else source
+    if data.isascii():
+        return data.encode() if isinstance(data, str) else data
+    if not isinstance(data, str):
+        data = str(data, "utf-8")
+    return data.removeprefix("\ufeff").translate(_TO_SPACE).encode()
+
+
+def _token_bounds(b):
+    """Start and length of every token of the bytes b, int32 when b is
+    under 2 GiB.
+
+    A token starts where a blank is followed by a token byte and ends
+    where a token byte is followed by a blank.
+    """
+    blank = np.ones(len(b) + 2, dtype=bool)
+    # the ASCII whitespace of str.split: bytes 9 to 13 and 28 to 32
+    code = b - 9
+    np.less_equal(code, 4, out=blank[1:-1])
+    code -= 19
+    blank[1:-1] |= code <= 4
+    del code
+    place = np.int32 if len(b) < 2**31 else np.int64
+    start = np.flatnonzero(blank[:-1] > blank[1:]).astype(place)
+    length = np.flatnonzero(blank[:-1] < blank[1:]).astype(place)
+    length -= start
+    return start, length
+
+
+def _line_sizes(b, start):
+    """The number of tokens on each line of the bytes b.
+
+    A line ends at LF and at a CR not followed by LF; a last line without
+    a line end counts when it holds any byte.
+    """
+    stop = b == 10
+    cr = b == 13
+    np.greater(cr[:-1], stop[1:], out=cr[:-1])
+    stop |= cr
+    del cr
+    stop = np.flatnonzero(stop) + 1
+    if len(b) and (not len(stop) or stop[-1] < len(b)):
+        stop = np.append(stop, len(b))
+    return np.diff(np.searchsorted(start, stop), prepend=0)
+
+
+def _token_keys(data, start, length):
+    """One key per token, equal for equal tokens, and the distinct tokens
+    of 8 bytes or more in the order of their keys.
+
+    A shorter token's key is its bytes read as a little-endian word plus
+    the bit just above them, which tells "a" from "a\\0", so the key is
+    under 2**57. A longer one's is 2**57 plus its number in a dict of
+    the long tokens' bytes.
+    """
+    # every token is read as the 8 bytes from its start; one within the
+    # last 8 bytes is read from there and shifted down
+    buf = data if len(data) >= 8 else bytes(data).ljust(8)
+    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    last = len(buf) - 8
+    key = words[np.minimum(start, last)]
+    tail = np.flatnonzero(start > last)
+    key[tail] >>= (8 * (start[tail] - last)).astype(np.uint64)
+    short = np.minimum(length, 8)
+    key &= _LOW_BYTES[short]
+    key |= _LENGTH_BIT[short]
+    del short
+    wide = np.flatnonzero(length >= 8)
+    index = {}
+    if len(wide):
+        ends = (start[wide] + length[wide]).tolist()
+        key[wide] += np.array([index.setdefault(data[a:z], len(index))
+                               for a, z in zip(start[wide].tolist(), ends)],
+                              dtype=np.uint64)
+    return key.view(np.int64), list(index)
+
+
+def _decode(keys, wide):
+    """The tokens of the sorted distinct keys, wide being the tokens of 8
+    bytes or more; each short key's bytes are cut at its length bit and
+    all of them decoded at once."""
+    short = keys[:len(keys) - len(wide)].astype("<u8")
+    length = np.searchsorted(_LENGTH_BIT, short, side="right") - 1
+    raw = short.view(np.uint8).reshape(-1, 8)
+    raw = np.where(np.arange(8) < length[:, None], raw, ord(" "))
+    return raw.tobytes().decode().split() + [t.decode() for t in wide]
+
+
 def parse_family(source):
     """Parse the family text format into a SetFamily.
 
-    One set per line, elements as whitespace-separated tokens. Lines end
-    at LF, CR LF or CR only, the line ends of a text-mode read; any other
-    line-break character (form feed, U+2028, ...) is whitespace inside a
-    line. A line whose first non-blank character is '#' is a comment; a
-    '#' anywhere else is an ordinary token. A line whose first token is exactly '!universe'
+    source is bytes, a str, or a text or binary file object; bytes are
+    read as UTF-8 and a leading byte-order mark is ignored. One set per
+    line, elements as whitespace-separated tokens, whitespace being what
+    str.split splits at. Lines end at LF, CR LF or CR only, the line
+    ends of a text-mode read; any other line-break character (form feed,
+    U+2028, ...) is whitespace inside a line. A line whose first
+    non-blank character is '#' is a comment; a '#' anywhere else is an
+    ordinary token. A line whose first token is exactly '!universe'
     declares the elements after it, which may appear in no set. Duplicate
     tokens within a line are dropped; an empty (or whitespace-only) line
-    is rejected because it would denote an empty set.
+    is rejected because it would denote an empty set. Elements are
+    numbered in order of first appearance.
+
+    The bytes are split with numpy, with no loop over lines or tokens.
+    Tokens are interned by sort_order of their keys (_token_keys): it
+    groups equal tokens and, being stable, puts each group's first
+    appearance first; a second sort_order of those first places numbers
+    the groups in order of appearance.
     """
-    text = source.read() if hasattr(source, "read") else source
-    index = defaultdict()
-    index.default_factory = index.__len__
-
-    def rows():
-        for line_no, line in enumerate(io.StringIO(text, newline=None), 1):
-            toks = line.split()
-            if not toks:
-                raise FamilyFormatError("empty set", line_no)
-            if toks[0].startswith("#"):
-                continue
-            if toks[0] == "!universe":
-                _flatten([toks[1:]], index.__getitem__)
-                continue
-            yield toks
-
-    elems, sizes = _flatten(rows(), index.__getitem__)
+    data = _utf8(source)
+    b = np.frombuffer(data, dtype=np.uint8)
+    start, length = _token_bounds(b)
+    count = _line_sizes(b, start)
+    if not count.all():
+        raise FamilyFormatError("empty set", int(count.argmin()) + 1)
+    # kind of each line: 0 a set, 1 a comment, 2 a !universe line
+    head = np.cumsum(count) - count
+    kind = (b[start[head]] == ord("#")).astype(np.int8)
+    named = head[length[head] == len(_UNIVERSE)]
+    named = named[(b[start[named, None] + np.arange(len(_UNIVERSE))]
+                   == _UNIVERSE).all(axis=1)]
+    kind[np.searchsorted(head, named)] = 2
+    sizes = count[kind == 0].astype(np.int32)
     if not len(sizes):
         raise FamilyFormatError("no sets in input")
-    return SetFamily._flat(list(index), elems, sizes)
+    # the tokens of comment lines and each word !universe are not elements
+    owner = np.repeat(kind, count)
+    owner[named] = 1
+    if owner.any():
+        keep = owner != 1
+        start, length, owner = start[keep], length[keep], owner[keep]
+        del keep
+    key, wide = _token_keys(data, start, length)
+    del data, b, start, length
+    order, key = sort_order(key)
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    tokens = _decode(key[first], wide)
+    del key
+    group = np.cumsum(first, dtype=np.int32)
+    group -= 1
+    by_first = sort_order(order[first])[0]
+    del first
+    rank = np.empty(len(by_first), dtype=np.int32)
+    rank[by_first] = np.arange(len(by_first), dtype=np.int32)
+    ids = np.empty(len(order), dtype=np.int32)
+    ids[order] = rank[group]
+    del order, group
+    if owner.any():
+        ids = ids[owner == 0]
+    del owner
+    return SetFamily._flat(list(map(tokens.__getitem__, by_first.tolist())),
+                           ids, sizes)
 
 
 def lf_order(f):

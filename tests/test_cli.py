@@ -219,7 +219,8 @@ class TestBench:
 
 
 @pytest.mark.parametrize("case", ["oracle_cap", "bench_sizes", "gen_out",
-                                  "non_utf8", "gen_max_size_0"])
+                                  "non_utf8", "non_utf8_comment",
+                                  "gen_max_size_0"])
 def test_bad_input_or_setting_exits_2(case, fam_a_file, tmp_path,
                                       monkeypatch, capsys):
     if case == "oracle_cap":
@@ -232,8 +233,11 @@ def test_bad_input_or_setting_exits_2(case, fam_a_file, tmp_path,
     elif case == "gen_max_size_0":
         argv = ["gen", "random", "--max-size", "0"]
     else:
+        # a byte that is not UTF-8 fails the read even in a comment line,
+        # whose tokens the parse never looks at
         path = tmp_path / "latin1.txt"
-        path.write_bytes(b"caf\xe9 1\n")
+        path.write_bytes({"non_utf8": b"caf\xe9 1\n",
+                          "non_utf8_comment": b"# caf\xe9\n1 2\n"}[case])
         argv = ["classes", str(path)]
     code, out = run_cli(*argv)
     assert code == 2

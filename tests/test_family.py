@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlap.family import (FamilyFormatError, SetFamily, build_sl_lists,
-                            lf_order, parse_family, sort_order)
+from overlap.family import (UNICODE_SPACES, FamilyFormatError, SetFamily,
+                            build_sl_lists, lf_order, parse_family,
+                            sort_order)
 from overlap.generate import gen_nested
 from overlap.pipeline import run_pipeline
 
@@ -238,6 +239,86 @@ def test_parse_matches_per_line_interning_random():
         assert got.sizes.tolist() == want.sizes.tolist(), repr(text)
         assert got.offsets.tolist() == want.offsets.tolist(), repr(text)
     assert 0 < errors < 300
+
+
+def wide_family_text(rng):
+    """A family text whose tokens have 1 to 41 bytes, pairs of tokens that
+    differ by a trailing NUL, control bytes and non-ASCII letters, set
+    apart by every kind of whitespace str.split knows."""
+    chars = "ab#!\x00\x01\x05\x08\x0e\x11\x1b\x7f"
+    pool = ["\u00e9", "\u4e2d\u6587", "x\U0001f600", "!universe"]
+    for length in (1, 7, 8, 9, 15, 16, 17, 40):
+        for _ in range(2):
+            stem = "".join(rng.choice(chars) for _ in range(length))
+            pool += [stem, stem + "\x00"]
+    blanks = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f"]
+    blanks += [chr(c) for c in UNICODE_SPACES]
+    lines = []
+    for _ in range(rng.randint(1, 10)):
+        toks = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.05:
+            toks = []
+        line = "".join(rng.choice(blanks) + tok for tok in toks)
+        lines.append(line + rng.choice(blanks + [""]))
+    ends = [rng.choice(["\n", "\r\n", "\r"]) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def parsed_four_ways(text, path):
+    """parse_family of text given as bytes, as a str, as a text file and
+    as a binary file; a FamilyFormatError stands in for a family."""
+    path.write_bytes(text.encode())
+    got = []
+    with open(path, encoding="utf-8") as text_file, \
+            open(path, "rb") as binary_file:
+        for source in (text.encode(), text, text_file, binary_file):
+            try:
+                got.append(parse_family(source))
+            except FamilyFormatError as exc:
+                got.append(exc)
+    return got
+
+
+def assert_parses_like_reference(text, path, want_text=None):
+    """All four ways of parsing text give reference_parse(want_text)."""
+    try:
+        want = reference_parse(text if want_text is None else want_text)
+    except FamilyFormatError as exc:
+        want = exc
+    for got in parsed_four_ways(text, path):
+        assert type(got) is type(want), repr(text)
+        if isinstance(want, FamilyFormatError):
+            assert (got.line_no, str(got)) == (want.line_no, str(want))
+            continue
+        assert got.tokens == want.tokens, repr(text)
+        assert got.elems.tolist() == want.elems.tolist(), repr(text)
+        assert got.sizes.tolist() == want.sizes.tolist(), repr(text)
+
+
+def test_parse_matches_reference_on_wide_tokens_and_whitespace(tmp_path):
+    rng = seeded_rng(59)
+    path = tmp_path / "family.txt"
+    for _ in range(300):
+        assert_parses_like_reference(wide_family_text(rng), path)
+
+
+@pytest.mark.parametrize("code", UNICODE_SPACES)
+def test_unicode_space_separates_and_blanks_a_line(code, tmp_path):
+    path = tmp_path / "family.txt"
+    space = chr(code)
+    assert_parses_like_reference("a%sb\nb\n" % space, path)
+    assert_parses_like_reference("a b\n%s\nb\n" % space, path)
+
+
+def test_byte_order_mark_dropped_in_every_form(tmp_path):
+    text = "\u00e9 b\nb c\u4e2d\n"
+    assert_parses_like_reference("\ufeff" + text, tmp_path / "bom.txt",
+                                 want_text=text)
+
+
+def test_unicode_spaces_literal_is_str_split_whitespace():
+    assert list(UNICODE_SPACES) == [
+        c for c in range(128, 0x110000) if chr(c).isspace()]
 
 
 def traced_peak(fn, arg):
