@@ -317,6 +317,7 @@ def _token_keys(data, start, length):
     under 2**57. A longer one's is 2**57 plus its number in a dict of
     the long tokens' bytes.
     """
+    short = np.minimum(length, 8).astype(np.uint8)
     # every token is read as the 8 bytes from its start; one within the
     # last 8 bytes is read from there and shifted down
     buf = data if len(data) >= 8 else bytes(data).ljust(8)
@@ -325,7 +326,6 @@ def _token_keys(data, start, length):
     key = words[np.minimum(start, last)]
     tail = np.flatnonzero(start > last)
     key[tail] >>= (8 * (start[tail] - last)).astype(np.uint64)
-    short = np.minimum(length, 8)
     key &= _LOW_BYTES[short]
     key |= _LENGTH_BIT[short]
     del short
