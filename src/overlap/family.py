@@ -366,8 +366,9 @@ def parse_family(source):
     is rejected because it would denote an empty set. Elements are
     numbered in order of first appearance.
 
-    The bytes are split with numpy, with no loop over lines or tokens.
-    Tokens are interned by sort_order of their keys (_token_keys): it
+    The bytes are split with numpy, with no Python loop over lines, and
+    none over tokens but those of 8 bytes or more (see _token_keys).
+    Tokens are interned by sort_order of their keys: it
     groups equal tokens and, being stable, puts each group's first
     appearance first; a second sort_order of those first places numbers
     the groups in order of appearance.
