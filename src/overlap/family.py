@@ -248,8 +248,7 @@ _TO_SPACE = dict.fromkeys(UNICODE_SPACES, " ")
 _UNIVERSE = np.frombuffer(b"!universe", dtype=np.uint8)
 # by token length up to 8: the mask of its bytes in a little-endian word
 # and the bit above them; all tokens of 8 bytes or more share 2**57
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)] + [0],
-                      dtype=np.uint64)
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _LENGTH_BIT = np.array([1 << 8 * k for k in range(8)] + [1 << 57],
                        dtype=np.uint64)
 
@@ -308,35 +307,85 @@ def _line_sizes(b, start):
     return np.diff(np.searchsorted(start, stop), prepend=0)
 
 
+def _reader(data):
+    """read(pos, n): the n <= 8 bytes of data from each pos, as uint64
+    little-endian words whose higher bytes are 0.
+
+    Each word is read through an 8-byte window at pos; one within the
+    last 8 bytes of data is read from there and shifted down.
+    """
+    buf = data if len(data) >= 8 else bytes(data).ljust(8)
+    windows = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf,
+                         strides=(1,))
+    last = len(buf) - 8
+
+    def read(pos, n):
+        word = windows[np.minimum(pos, last)]
+        tail = np.flatnonzero(pos > last)
+        word[tail] >>= (8 * (pos[tail] - last)).astype(np.uint64)
+        word &= _LOW_BYTES[n]
+        return word
+
+    return read
+
+
+def _wide_names(read, start, length):
+    """Dense names of tokens of 8 bytes or more, equal exactly when the
+    tokens are, and the first token of each name.
+
+    A name starts as the token's length and is refined one 8-byte word a
+    round. The tokens stay grouped by name; in a group where some
+    token's word differs from the first token's, a sort_order of the
+    words, then a stable one of the names, brings equal (name, word)
+    pairs together, and each pair takes a new name. A token drops out
+    when its bytes end, or when no other token shares its name, since
+    then no later word can make it equal another.
+    """
+    name = length.astype(np.int64)
+    live = sort_order(name)[0]
+    done = 0
+    while len(live):
+        word = read(start[live] + done, np.minimum(length[live] - done, 8))
+        head = np.ones(len(live), dtype=bool)
+        np.not_equal(name[live[1:]], name[live[:-1]], out=head[1:])
+        leader = np.maximum.accumulate(np.where(head, np.arange(len(live)), 0))
+        if (word != word[leader]).any():
+            by_word = sort_order(word.view(np.int64))[0]
+            by_name, tied = sort_order(name[live[by_word]])
+            pairs = by_word[by_name]
+            live, word = live[pairs], word[pairs]
+            head[1:] = (tied[1:] != tied[:-1]) | (word[1:] != word[:-1])
+            name[live] = name.max() + np.cumsum(head)
+        done += 8
+        shared = ~(head & np.append(head[1:], True))
+        live = live[shared & (length[live] > done)]
+    order, name = sort_order(name)
+    first = np.ones(len(name), dtype=bool)
+    np.not_equal(name[1:], name[:-1], out=first[1:])
+    dense = np.empty(len(name), dtype=np.uint64)
+    dense[order] = np.cumsum(first) - 1
+    return dense, order[first]
+
+
 def _token_keys(data, start, length):
-    """One key per token, equal for equal tokens, and the distinct tokens
-    of 8 bytes or more in the order of their keys.
+    """One key per token, equal exactly for equal tokens, and the distinct
+    tokens of 8 bytes or more in the order of their keys.
 
     A shorter token's key is its bytes read as a little-endian word plus
     the bit just above them, which tells "a" from "a\\0", so the key is
-    under 2**57. A longer one's is 2**57 plus its number in a dict of
-    the long tokens' bytes.
+    under 2**57. A longer one's is 2**57 plus its name (_wide_names).
     """
+    read = _reader(data)
     short = np.minimum(length, 8).astype(np.uint8)
-    # every token is read as the 8 bytes from its start; one within the
-    # last 8 bytes is read from there and shifted down
-    buf = data if len(data) >= 8 else bytes(data).ljust(8)
-    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
-    last = len(buf) - 8
-    key = words[np.minimum(start, last)]
-    tail = np.flatnonzero(start > last)
-    key[tail] >>= (8 * (start[tail] - last)).astype(np.uint64)
-    key &= _LOW_BYTES[short]
+    key = read(start, short)
     key |= _LENGTH_BIT[short]
     del short
     wide = np.flatnonzero(length >= 8)
-    index = {}
-    if len(wide):
-        ends = (start[wide] + length[wide]).tolist()
-        key[wide] += np.array([index.setdefault(data[a:z], len(index))
-                               for a, z in zip(start[wide].tolist(), ends)],
-                              dtype=np.uint64)
-    return key.view(np.int64), list(index)
+    names, first = _wide_names(read, start[wide], length[wide])
+    key[wide] = names + _LENGTH_BIT[8]
+    first = wide[first]
+    return key.view(np.int64), [data[a:a + n] for a, n in zip(
+        start[first].tolist(), length[first].tolist())]
 
 
 def _decode(keys, wide):
@@ -366,12 +415,11 @@ def parse_family(source):
     is rejected because it would denote an empty set. Elements are
     numbered in order of first appearance.
 
-    The bytes are split with numpy, with no Python loop over lines, and
-    none over tokens but those of 8 bytes or more (see _token_keys).
-    Tokens are interned by sort_order of their keys: it
-    groups equal tokens and, being stable, puts each group's first
-    appearance first; a second sort_order of those first places numbers
-    the groups in order of appearance.
+    The bytes are split with numpy, with no Python loop over lines or
+    tokens. Tokens are interned by sort_order of their keys
+    (_token_keys): it groups equal tokens and, being stable, puts each
+    group's first appearance first; a second sort_order of those first
+    places numbers the groups in order of appearance.
     """
     data = _utf8(source)
     b = np.frombuffer(data, dtype=np.uint8)
@@ -392,7 +440,8 @@ def parse_family(source):
     # the tokens of comment lines and each word !universe are not elements
     owner = np.repeat(kind, count)
     owner[named] = 1
-    if owner.any():
+    skipped = owner.any()
+    if skipped:
         keep = owner != 1
         start, length, owner = start[keep], length[keep], owner[keep]
         del keep
@@ -412,7 +461,7 @@ def parse_family(source):
     ids = np.empty(len(order), dtype=np.int32)
     ids[order] = rank[group]
     del order, group
-    if owner.any():
+    if skipped:
         ids = ids[owner == 0]
     del owner
     return SetFamily._flat(list(map(tokens.__getitem__, by_first.tolist())),

@@ -243,14 +243,15 @@ def test_parse_matches_per_line_interning_random():
 
 def wide_family_text(rng):
     """A family text whose tokens have 1 to 41 bytes, pairs of tokens that
-    differ by a trailing NUL, control bytes and non-ASCII letters, set
-    apart by every kind of whitespace str.split knows."""
+    differ by a trailing NUL or only in their last byte, control bytes
+    and non-ASCII letters, set apart by every kind of whitespace
+    str.split knows."""
     chars = "ab#!\x00\x01\x05\x08\x0e\x11\x1b\x7f"
     pool = ["\u00e9", "\u4e2d\u6587", "x\U0001f600", "!universe"]
     for length in (1, 7, 8, 9, 15, 16, 17, 40):
         for _ in range(2):
             stem = "".join(rng.choice(chars) for _ in range(length))
-            pool += [stem, stem + "\x00"]
+            pool += [stem, stem + "\x00", stem[:-1] + "z"]
     blanks = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f"]
     blanks += [chr(c) for c in UNICODE_SPACES]
     lines = []
