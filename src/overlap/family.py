@@ -246,8 +246,9 @@ UNICODE_SPACES = (0x85, 0xa0, 0x1680, 0x2000, 0x2001, 0x2002, 0x2003,
                   0x2028, 0x2029, 0x202f, 0x205f, 0x3000)
 _TO_SPACE = dict.fromkeys(UNICODE_SPACES, " ")
 _UNIVERSE = np.frombuffer(b"!universe", dtype=np.uint8)
-# by token length up to 8: the mask of its bytes in a little-endian word
-# and the bit above them; all tokens of 8 bytes or more share 2**57
+# _LOW_BYTES[k] masks the low k bytes of a little-endian word, for k up
+# to 8. _LENGTH_BIT[k] is the bit above them for k < 8, and for k = 8 the
+# bit 2**57 that the key of every token of 8 bytes or more has.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _LENGTH_BIT = np.array([1 << 8 * k for k in range(8)] + [1 << 57],
                        dtype=np.uint64)
