@@ -5,6 +5,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -388,3 +389,21 @@ def test_json_matches_json_dumps_random(tmp_path):
             code, out = run_cli(command, "--json", str(path))
             assert code == 0
             assert out == reference_json(res, command == "forest"), text
+
+
+def test_writer_peak_memory_within_pipeline_peak():
+    # serializing must not set a CLI call's peak memory: the traced peak
+    # of forest --json into a StringIO, output included, stays under that
+    # of the pipeline run it reports
+    f = parse_family(gen_blocks(2 ** 14, 2 ** 15, 2 ** 11, 1))
+    tracemalloc.start()
+    try:
+        res = run_pipeline(f)
+        pipeline_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        cli._write_json(res, True, io.StringIO())
+        writer_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert writer_peak <= pipeline_peak
