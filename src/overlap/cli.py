@@ -25,6 +25,7 @@ __all__ = ["main", "entry", "bench_rows", "verify_result"]
 BENCH_STAGES = ("orders", "maxcomp", "dgraph", "subgraph", "forest", "total")
 BENCH_HEADER = ",".join(("total_size",) + BENCH_STAGES + ("ratio",))
 BENCH_SECONDS = 2.0
+RENDER_PLACES = 1 << 15
 
 
 def _label(i):
@@ -45,54 +46,109 @@ def _load(path):
         _input_error(exc)
 
 
-def _rows(template, *cols):
-    """template once per row of the columns, each number written plus 1."""
-    values = np.column_stack(cols).ravel() + 1
-    return (template * len(cols[0])) % tuple(values.tolist())
+def render(templates, code, *cols):
+    """The text of templates[code[k]] % (cols[0][k], cols[1][k], ...) for
+    every place k, with no Python object made per number.
 
+    A template holds only %d directives and no NUL; it may use fewer
+    numbers than there are columns, and a column that a place's template
+    does not use must hold 0 there. Values are final (written as given),
+    non-negative and below 2**31. code may be None for one template.
 
-def _groups(templates, heads, start, *cols):
-    """Groups as text: group k is heads[k], then rows start[k] to
-    start[k + 1] - 1 of the columns; every number is written plus 1.
-
-    templates are the patterns of a head with rows, a head without rows,
-    a row and a group's last row. The pattern of each place is picked
-    with numpy and all numbers are filled in by one % format, so no
-    Python object is built per group or per row.
+    Each place is a fixed-width row of bytes: literal field 0, the digits
+    of column 0, literal field 1, ..., the last literal field. A literal
+    field is as wide as the longest literal any template puts there, a
+    digit field as wide as the digits of its column's maximum. The rows
+    are gathered from a table of the templates, whose units digits hold
+    "0"; the digits are written one place value at a time, a leading zero
+    as NUL, and one bytes.translate drops every NUL. Places go
+    RENDER_PLACES at a time, so the rows stay small.
     """
-    rows = np.column_stack(cols)
-    count = np.diff(start)
-    code = np.full(len(rows), 2, dtype=np.int8)
-    code[start[1:][count > 0] - 1] = 3
-    code = np.insert(code, start[:-1], count == 0)
-    values = np.insert(rows.ravel(), rows.shape[1] * start[:-1], heads) + 1
-    return "".join(map(templates.__getitem__, code.tolist())) % tuple(
-        values.tolist())
+    if not len(cols[0]):
+        return ""
+    pieces = [t.split("%d") for t in templates]
+    lit_w = [max(len(p[j]) if j < len(p) else 0 for p in pieces)
+             for j in range(len(cols) + 1)]
+    dig_w = [len(str(int(c.max()))) for c in cols]
+    # where literal field j starts; column j's units digit is just before
+    # literal field j + 1
+    at = np.cumsum([0] + [lw + dw for lw, dw in zip(lit_w, dig_w)])
+    tab = np.zeros((len(pieces), at[-1] + lit_w[-1]), dtype=np.uint8)
+    for t, p in enumerate(pieces):
+        for j, lit in enumerate(p):
+            tab[t, at[j]:at[j] + len(lit)] = list(lit.encode("ascii"))
+        tab[t, at[1:len(p)] - 1] = ord("0")
+    if code is None:
+        code = np.zeros(len(cols[0]), dtype=np.int8)
+    parts = []
+    for s in range(0, len(code), RENDER_PLACES):
+        rows = np.take(tab, code[s:s + RENDER_PLACES], axis=0)
+        for col, units, width in zip(cols, at[1:] - 1, dig_w):
+            q = col[s:s + RENDER_PLACES]
+            for p in range(width):
+                nq = q // 10
+                d = q - nq * 10
+                if p:
+                    d += ord("0")
+                    d *= q > 0
+                    rows[:, units - p] = d
+                else:
+                    np.add(rows[:, units], d, out=rows[:, units],
+                           casting="unsafe")
+                q = nq
+        parts.append(rows.tobytes().translate(None, b"\0"))
+    return b"".join(parts).decode("ascii")
+
+
+def _numbers(m):
+    """The set numbers 1 to m."""
+    return np.arange(1, m + 1, dtype=np.int32)
+
+
+def _group_code(first, last, places):
+    """Per place of groups laid out one after another, given each group's
+    first and last place: 0 a first place with more after it, 1 a group's
+    only place, 2 a place inside and 3 a last place after the first."""
+    code = np.full(places, 2, dtype=np.int8)
+    code[last] = 3
+    code[first] = first == last
+    return code
 
 
 def _trees(res, templates):
+    """The forest, each tree its root then its edges, 1-based; templates
+    are those of a root with edges, a root alone, an edge and a tree's
+    last edge."""
     fo = res.forest
-    return _groups(templates, fo.order[fo.start[:-1]], fo.edge_start,
-                   fo.a, fo.b)
+    count = np.diff(fo.edge_start)
+    first = fo.edge_start[:-1] + np.arange(len(count), dtype=np.int32)
+    code = _group_code(first, first + count, res.family.m)
+    a = np.zeros(len(code), dtype=np.int32)
+    b = np.zeros(len(code), dtype=np.int32)
+    edge = code > 1
+    a[first] = fo.order[fo.start[:-1]] + 1
+    a[edge] = fo.a + 1
+    b[edge] = fo.b + 1
+    return render(templates, code, a, b)
 
 
 def _write_json(res, with_forest, out):
     """Classes, Max, subgraph edges and, with_forest, the trees as one JSON
-    object with 1-based set numbers, formatted straight from the result
+    object with 1-based set numbers, rendered straight from the result
     arrays; the bytes are those of json.dumps with (", ", ": ")."""
     lab = res.labeling
-    first = lab.start[:-1]
     mx = res.maxes.partners
     out.write('{"classes": [')
     # each class as its root, the smallest member, then the others
-    out.write(_groups(("[%d, ", "[%d], ", "%d, ", "%d], "), lab.order[first],
-                      lab.start - np.arange(len(lab.start)),
-                      np.delete(lab.order, first))[:-2])
+    out.write(render(("[%d, ", "[%d], ", "%d, ", "%d], "),
+                     _group_code(lab.start[:-1], lab.start[1:] - 1,
+                                 len(lab.order)),
+                     lab.order + 1)[:-2])
     out.write('], "max": [')
-    out.write(", ".join(map(("%d", "null").__getitem__, (mx < 0).tolist()))
-              % tuple((mx[mx >= 0] + 1).tolist()))
+    out.write(render(("%d, ", "null, "), mx < 0, mx + 1)[:-2])
     out.write('], "edges": [')
-    out.write(_rows("[%d, %d], ", res.subgraph.a, res.subgraph.b)[:-2])
+    out.write(render(("[%d, %d], ",), None, res.subgraph.a + 1,
+                     res.subgraph.b + 1)[:-2])
     if with_forest:
         out.write('], "forest": [')
         out.write(_trees(res, ('{"root": %d, "edges": [',
@@ -103,28 +159,26 @@ def _write_json(res, with_forest, out):
 
 def _dot(name, m, a, b, out):
     out.write("graph %s {\n" % name)
-    out.write(("  X%d;\n" * m) % tuple(range(1, m + 1)))
-    out.write(_rows("  X%d -- X%d;\n", a, b))
+    out.write(render(("  X%d;\n",), None, _numbers(m)))
+    out.write(render(("  X%d -- X%d;\n",), None, a + 1, b + 1))
     out.write("}\n")
 
 
 def _write_classes(res, out):
     class_id = res.labeling.class_id
-    # _rows writes every number plus 1; class ids stay 0-based
-    out.write(_rows("X%d %d\n", np.arange(len(class_id)), class_id - 1))
+    out.write(render(("X%d %d\n",), None, _numbers(len(class_id)), class_id))
 
 
 def _write_max(res, out):
     mx = res.maxes.partners
     # each set, then its Max unless it has none (-1)
-    values = np.column_stack((np.arange(len(mx)), mx)).ravel()
-    out.write("".join(map(("X%d -> X%d\n", "X%d -> none\n").__getitem__,
-                          (mx < 0).tolist()))
-              % tuple((values[values >= 0] + 1).tolist()))
+    out.write(render(("X%d -> X%d\n", "X%d -> none\n"), mx < 0,
+                     _numbers(len(mx)), mx + 1))
 
 
 def _write_subgraph(res, out):
-    out.write(_rows("X%d X%d\n", res.subgraph.a, res.subgraph.b))
+    out.write(render(("X%d X%d\n",), None, res.subgraph.a + 1,
+                     res.subgraph.b + 1))
 
 
 def _write_forest(res, out):
@@ -301,6 +355,8 @@ def cmd_bench(args, out):
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError as exc:
         _input_error(exc)
+    if min(sizes, default=1) < 1:
+        _input_error("--sizes targets must be positive: %s" % args.sizes)
     rows = bench_rows(sizes, args.seed, isolate=True)
     row = "%%(total_size)d,%s,%%(ratio)s\n" % ",".join(
         "%%(%s).6f" % k for k in BENCH_STAGES)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import overlap.cli as cli
@@ -219,8 +220,9 @@ class TestBench:
         assert float(lines[2].rsplit(",", 1)[1]) > 0
 
 
-@pytest.mark.parametrize("case", ["oracle_cap", "bench_sizes", "gen_out",
-                                  "non_utf8", "non_utf8_comment",
+@pytest.mark.parametrize("case", ["oracle_cap", "bench_sizes",
+                                  "bench_sizes_negative", "bench_sizes_zero",
+                                  "gen_out", "non_utf8", "non_utf8_comment",
                                   "gen_max_size_0"])
 def test_bad_input_or_setting_exits_2(case, fam_a_file, tmp_path,
                                       monkeypatch, capsys):
@@ -229,6 +231,10 @@ def test_bad_input_or_setting_exits_2(case, fam_a_file, tmp_path,
         argv = ["verify", fam_a_file]
     elif case == "bench_sizes":
         argv = ["bench", "--sizes", "1,x"]
+    elif case == "bench_sizes_negative":
+        argv = ["bench", "--sizes", "-5"]
+    elif case == "bench_sizes_zero":
+        argv = ["bench", "--sizes", "1000,0"]
     elif case == "gen_out":
         argv = ["gen", "star", "--out", str(tmp_path / "missing" / "x")]
     elif case == "gen_max_size_0":
@@ -391,11 +397,177 @@ def test_json_matches_json_dumps_random(tmp_path):
             assert out == reference_json(res, command == "forest"), text
 
 
-def test_writer_peak_memory_within_pipeline_peak():
+# The %-format writers the CLI used before render: one Python int per
+# number and one % format per section. They are the reference that
+# render and every output mode are checked against.
+
+def ref_rows(template, *cols):
+    """template once per row of the columns, each number written plus 1."""
+    values = np.column_stack(cols).ravel() + 1
+    return (template * len(cols[0])) % tuple(values.tolist())
+
+
+def ref_groups(templates, heads, start, *cols):
+    """Group k as heads[k], then rows start[k] to start[k + 1] - 1 of the
+    columns, every number written plus 1; templates are those of a head
+    with rows, a head without rows, a row and a group's last row."""
+    rows = np.column_stack(cols)
+    count = np.diff(start)
+    code = np.full(len(rows), 2, dtype=np.int8)
+    code[start[1:][count > 0] - 1] = 3
+    code = np.insert(code, start[:-1], count == 0)
+    values = np.insert(rows.ravel(), rows.shape[1] * start[:-1], heads) + 1
+    return "".join(map(templates.__getitem__, code.tolist())) % tuple(
+        values.tolist())
+
+
+def ref_output(res, mode):
+    """The stdout of one output mode as the %-format writers made it."""
+    lab, fo, g = res.labeling, res.forest, res.subgraph
+    m = res.family.m
+    mx = res.maxes.partners
+    command, _, flag = mode.partition(" ")
+
+    def trees(templates):
+        return ref_groups(templates, fo.order[fo.start[:-1]], fo.edge_start,
+                          fo.a, fo.b)
+
+    if flag == "--dot":
+        name, a, b = (("overlap_subgraph", g.a, g.b) if command == "subgraph"
+                      else ("spanning_forest", fo.a, fo.b))
+        return ("graph %s {\n" % name
+                + ("  X%d;\n" * m) % tuple(range(1, m + 1))
+                + ref_rows("  X%d -- X%d;\n", a, b) + "}\n")
+    if flag == "--json":
+        first = lab.start[:-1]
+        text = ('{"classes": ['
+                + ref_groups(("[%d, ", "[%d], ", "%d, ", "%d], "),
+                             lab.order[first],
+                             lab.start - np.arange(len(lab.start)),
+                             np.delete(lab.order, first))[:-2]
+                + '], "max": ['
+                + ", ".join(map(("%d", "null").__getitem__,
+                                (mx < 0).tolist()))
+                % tuple((mx[mx >= 0] + 1).tolist())
+                + '], "edges": [' + ref_rows("[%d, %d], ", g.a, g.b)[:-2])
+        if command == "forest":
+            text += '], "forest": [' + trees(
+                ('{"root": %d, "edges": [', '{"root": %d, "edges": []}, ',
+                 "[%d, %d], ", "[%d, %d]]}, "))[:-2]
+        return text + "]}\n"
+    if command == "classes":
+        return ref_rows("X%d %d\n", np.arange(m), lab.class_id - 1)
+    if command == "max":
+        values = np.column_stack((np.arange(m), mx)).ravel()
+        return "".join(map(("X%d -> X%d\n", "X%d -> none\n").__getitem__,
+                           (mx < 0).tolist())) % tuple(
+            (values[values >= 0] + 1).tolist())
+    if command == "subgraph":
+        return ref_rows("X%d X%d\n", g.a, g.b)
+    return trees(("tree X%d: ", "tree X%d: \n", "X%d-X%d ", "X%d-X%d\n"))
+
+
+def ref_render(templates, code, *cols):
+    """render's text, one % format per place."""
+    code = [0] * len(cols[0]) if code is None else code
+    return "".join(
+        templates[c] % tuple(int(col[k]) for col in cols)[
+            :templates[c].count("%d")]
+        for k, c in enumerate(code))
+
+
+# a value of every digit count, each at both ends, and the largest
+PLACE_VALUES = ([0] + [v for k in range(1, 10) for v in (10 ** k - 1, 10 ** k)]
+                + [2 ** 31 - 1])
+
+# templates of mixed arity: a place without a number, one-number heads
+# before two-number rows, and a literal that grows or shrinks by field
+MIXED_TEMPLATES = [
+    ("%d, ", "null, "),
+    ("X%d -> X%d\n", "X%d -> none\n"),
+    ('{"root": %d, "edges": [', "[%d, %d], ", "[%d, %d]]}, ", "]}, "),
+    ("%d", "<%d|%d>", "", "long literal %d;"),
+]
+
+
+def random_places(rng, templates, places):
+    """A code and two columns for places random places; a column a
+    place's template does not use holds 0 there."""
+    code = np.array([rng.randrange(len(templates)) for _ in range(places)],
+                    dtype=np.int8)
+    cols = [np.array([rng.choice(PLACE_VALUES)
+                      if templates[c].count("%d") > j else 0 for c in code],
+                     dtype=np.int32)
+            for j in range(2)]
+    return code, cols
+
+
+class TestRender:
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_every_digit_count(self, dtype):
+        values = np.array(PLACE_VALUES, dtype=dtype)
+        assert cli.render(("%d,",), None, values) == "".join(
+            "%d," % v for v in PLACE_VALUES)
+        for v in PLACE_VALUES:
+            one = np.array([v], dtype=dtype)
+            assert cli.render(("X%d %d\n",), None, one, one) == (
+                "X%d %d\n" % (v, v))
+
+    def test_two_columns_against_reference(self):
+        rng = seeded_rng(12)
+        a = np.array(PLACE_VALUES * 3, dtype=np.int32)
+        b = a.copy()
+        rng.shuffle(b)
+        assert cli.render(("[%d, %d], ",), None, a, b) == ref_render(
+            ("[%d, %d], ",), None, a, b)
+
+    @pytest.mark.parametrize("templates", MIXED_TEMPLATES)
+    def test_mixed_arity_against_reference(self, templates):
+        rng = seeded_rng(13)
+        for places in (1, 2, 5, 40, 300):
+            code, cols = random_places(rng, templates, places)
+            assert cli.render(templates, code, *cols) == ref_render(
+                templates, code, *cols)
+
+    def test_zero_places(self):
+        empty = np.zeros(0, dtype=np.int32)
+        assert cli.render(("%d, ",), None, empty) == ""
+        assert cli.render(MIXED_TEMPLATES[2], np.zeros(0, dtype=np.int8),
+                          empty, empty) == ""
+
+    def test_slices_join_seamlessly(self, monkeypatch):
+        monkeypatch.setattr(cli, "RENDER_PLACES", 3)
+        rng = seeded_rng(14)
+        for places in range(1, 11):
+            code, cols = random_places(rng, MIXED_TEMPLATES[2], places)
+            assert cli.render(MIXED_TEMPLATES[2], code, *cols) == ref_render(
+                MIXED_TEMPLATES[2], code, *cols)
+
+
+@pytest.fixture(scope="module")
+def large_blocks(tmp_path_factory):
+    """The file and pipeline result of a blocks family of 32768 sets, whose
+    set numbers run past GOLDEN_CORPUS's three digits."""
+    text = gen_blocks(2 ** 14, 2 ** 15, 2 ** 11, 1)
+    path = tmp_path_factory.mktemp("large") / "blocks.txt"
+    path.write_text(text)
+    return str(path), run_pipeline(parse_family(text))
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_SHA256))
+def test_every_mode_matches_reference_on_large_blocks(mode, large_blocks):
+    path, res = large_blocks
+    code, out = run_cli(*mode.split(), path)
+    assert code == 0
+    assert out == ref_output(res, mode)
+
+
+def test_writer_peak_memory_within_pipeline_peak(large_blocks):
     # serializing must not set a CLI call's peak memory: the traced peak
     # of forest --json into a StringIO, output included, stays under that
     # of the pipeline run it reports
-    f = parse_family(gen_blocks(2 ** 14, 2 ** 15, 2 ** 11, 1))
+    f = large_blocks[1].family
     tracemalloc.start()
     try:
         res = run_pipeline(f)
