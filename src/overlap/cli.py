@@ -19,7 +19,7 @@ from .generate import (gen_blocks, gen_nested, gen_random_lines,
 from .oracle import OracleCapExceeded, max_oracle, overlap_graph_full, overlaps
 from .pipeline import run_pipeline
 
-__all__ = ["main", "entry", "bench_rows", "verify_result"]
+__all__ = ["main", "entry", "bench_rows", "render", "verify_result"]
 
 # the timed columns of a bench row: run_pipeline's stage times and total
 BENCH_STAGES = ("orders", "maxcomp", "dgraph", "subgraph", "forest", "total")
@@ -67,17 +67,17 @@ def render(templates, code, *cols):
     if not len(cols[0]):
         return ""
     pieces = [t.split("%d") for t in templates]
-    lit_w = [max(len(p[j]) if j < len(p) else 0 for p in pieces)
+    lit_w = [max(len(lits[j]) if j < len(lits) else 0 for lits in pieces)
              for j in range(len(cols) + 1)]
     dig_w = [len(str(int(c.max()))) for c in cols]
     # where literal field j starts; column j's units digit is just before
     # literal field j + 1
     at = np.cumsum([0] + [lw + dw for lw, dw in zip(lit_w, dig_w)])
     tab = np.zeros((len(pieces), at[-1] + lit_w[-1]), dtype=np.uint8)
-    for t, p in enumerate(pieces):
-        for j, lit in enumerate(p):
+    for t, lits in enumerate(pieces):
+        for j, lit in enumerate(lits):
             tab[t, at[j]:at[j] + len(lit)] = list(lit.encode("ascii"))
-        tab[t, at[1:len(p)] - 1] = ord("0")
+        tab[t, at[1:len(lits)] - 1] = ord("0")
     if code is None:
         code = np.zeros(len(cols[0]), dtype=np.int8)
     parts = []
@@ -355,8 +355,8 @@ def cmd_bench(args, out):
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError as exc:
         _input_error(exc)
-    if min(sizes, default=1) < 1:
-        _input_error("--sizes targets must be positive: %s" % args.sizes)
+    if min(sizes, default=0) < 1:
+        _input_error("--sizes needs positive targets: %r" % args.sizes)
     rows = bench_rows(sizes, args.seed, isolate=True)
     row = "%%(total_size)d,%s,%%(ratio)s\n" % ",".join(
         "%%(%s).6f" % k for k in BENCH_STAGES)

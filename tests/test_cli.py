@@ -222,6 +222,7 @@ class TestBench:
 
 @pytest.mark.parametrize("case", ["oracle_cap", "bench_sizes",
                                   "bench_sizes_negative", "bench_sizes_zero",
+                                  "bench_sizes_empty",
                                   "gen_out", "non_utf8", "non_utf8_comment",
                                   "gen_max_size_0"])
 def test_bad_input_or_setting_exits_2(case, fam_a_file, tmp_path,
@@ -235,6 +236,8 @@ def test_bad_input_or_setting_exits_2(case, fam_a_file, tmp_path,
         argv = ["bench", "--sizes", "-5"]
     elif case == "bench_sizes_zero":
         argv = ["bench", "--sizes", "1000,0"]
+    elif case == "bench_sizes_empty":
+        argv = ["bench", "--sizes", ","]
     elif case == "gen_out":
         argv = ["gen", "star", "--out", str(tmp_path / "missing" / "x")]
     elif case == "gen_max_size_0":
@@ -522,7 +525,8 @@ class TestRender:
         assert cli.render(("[%d, %d], ",), None, a, b) == ref_render(
             ("[%d, %d], ",), None, a, b)
 
-    @pytest.mark.parametrize("templates", MIXED_TEMPLATES)
+    @pytest.mark.parametrize("templates", MIXED_TEMPLATES,
+                             ids=["null", "none", "forest", "widths"])
     def test_mixed_arity_against_reference(self, templates):
         rng = seeded_rng(13)
         for places in (1, 2, 5, 40, 300):
