@@ -8,7 +8,8 @@ sort_order.
 
 sort_order is the one sort kernel of the package: every ordering made
 here and in maxcomp and dgraph packs each key with its index into one
-int64 and sorts those with np.sort.
+int64 and sorts those with np.sort. sort_groups also marks where each
+run of equal keys starts.
 """
 
 import operator
@@ -27,6 +28,7 @@ __all__ = [
     "build_sl_lists",
     "segments",
     "sort_order",
+    "sort_groups",
 ]
 
 
@@ -83,6 +85,15 @@ def sort_order(key):
     packed |= order
     packed.sort()
     return packed & ((1 << shift) - 1), key
+
+
+def sort_groups(key):
+    """The order that sorts key (sort_order's), and per sorted entry
+    whether it differs from the entry before it (True for the first)."""
+    order, key = sort_order(key)
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return order, new
 
 
 def _flatten(rows, lookup):
@@ -360,9 +371,7 @@ def _wide_names(read, start, length):
         done += 8
         shared = ~(head & np.append(head[1:], True))
         live = live[shared & (length[live] > done)]
-    order, name = sort_order(name)
-    first = np.ones(len(name), dtype=bool)
-    np.not_equal(name[1:], name[:-1], out=first[1:])
+    order, first = sort_groups(name)
     dense = np.empty(len(name), dtype=np.uint64)
     dense[order] = np.cumsum(first) - 1
     return dense, order[first]
@@ -417,10 +426,10 @@ def parse_family(source):
     numbered in order of first appearance.
 
     The bytes are split with numpy, with no Python loop over lines or
-    tokens. Tokens are interned by sort_order of their keys
+    tokens. Tokens are interned by sort_groups of their keys
     (_token_keys): it groups equal tokens and, being stable, puts each
-    group's first appearance first; a second sort_order of those first
-    places numbers the groups in order of appearance.
+    group's first appearance first; a sort_order of those first places
+    numbers the groups in order of appearance.
     """
     data = _utf8(source)
     b = np.frombuffer(data, dtype=np.uint8)
@@ -448,10 +457,8 @@ def parse_family(source):
         del keep
     key, wide = _token_keys(data, start, length)
     del data, b, start, length
-    order, key = sort_order(key)
-    first = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    tokens = _decode(key[first], wide)
+    order, first = sort_groups(key)
+    tokens = _decode(key[order[first]], wide)
     del key
     group = np.cumsum(first, dtype=np.int32)
     group -= 1

@@ -20,16 +20,19 @@ between the same two positions of the final order, and the refinement
 need not be run. Pass 1 sorts the columns, each the list of LF ranks of
 the sets holding an element, by the naming of Karp, Miller and Rosenberg
 ("Rapid identification of repeated patterns in strings, trees and
-arrays", STOC 1972): each round names the aligned blocks of twice the
-length with one sort_order call (family.py), so ceil(log2 d) rounds, d
-the largest column, sort about |F| keys in all. The split between two
-adjacent columns is their first difference, found by walking down the
-rounds.
+arrays", STOC 1972): each round names every column's aligned blocks of
+twice the length with one sort_groups call (family.py), until each
+column is one block, so ceil(log2 d) rounds, d the largest column, sort
+at most |F| + n ceil(log2 d) keys in all. As in the prefix doubling of
+suffix arrays (Manber and Myers, SIAM J. Comput. 1993), every column
+keeps a name in every round, so the last round's names are the order.
+The split between two adjacent columns is their first difference, found
+by walking down the rounds.
 """
 
 import numpy as np
 
-from .family import sort_order
+from .family import sort_groups
 
 __all__ = [
     "PfOrder",
@@ -119,13 +122,6 @@ def window_levels(values, span, op):
         yield level
 
 
-def _sort_groups(key):
-    """The order that sorts key (sort_order's), and per sorted entry
-    whether it differs from the entry before it (True for the first)."""
-    order, key = sort_order(key)
-    return order, np.concatenate(([True], key[1:] != key[:-1]))
-
-
 def _block(start, names, i, q):
     """Name of block q of each round's column i, 0 past the column's end."""
     j = start[i] + q
@@ -137,89 +133,47 @@ def _name_rounds(names, length):
 
     names holds the columns end to end, column c having length[c]
     positive entries. In round 0 a block is one entry and its name the
-    entry. Round k takes the columns that had two blocks or more in
-    round k - 1, and names each of their blocks of 2**k entries by the
-    dense rank, from 1, of the pair of its halves' names, a lone last
+    entry. Round k names each block of 2**k entries of every column by
+    the dense rank, from 1, of the pair of its halves' names, a lone last
     half pairing with 0. So two blocks of a round get one name exactly
     when their entries are equal, and names order blocks like their
-    entries padded with 0s. Returns per round (cols, start, names): the
-    round's columns in ascending order, and their blocks' offsets into
-    the names.
+    entries padded with 0s. The rounds stop when every column is at most
+    one block. Returns per round (start, names): start[c] is the offset
+    of column c's first block into the names, and start[-1] their count.
     """
-    cols = np.arange(len(length))
     start = np.concatenate(([0], np.cumsum(length)))
-    rounds = [(cols, start, names)]
+    rounds = [(start, names)]
     while True:
         count = np.diff(start)
-        go = count >= 2
-        if not go.any():
+        if count.max() < 2:
             return rounds
-        cols, count = cols[go], count[go]
         half = (count + 1) // 2
         nstart = np.concatenate(([0], np.cumsum(half)))
         left = 2 * np.arange(nstart[-1]) - np.repeat(
-            2 * nstart[:-1] - start[:-1][go], half)
+            2 * nstart[:-1] - start[:-1], half)
         right = names[np.minimum(left + 1, len(names) - 1)]
         right[nstart[1:][count % 2 == 1] - 1] = 0
-        order, new = _sort_groups(names[left].astype(np.int64)
-                                  * (int(names.max()) + 1) + right)
+        order, new = sort_groups(names[left].astype(np.int64)
+                                 * (int(names.max()) + 1) + right)
         start = nstart
         names = np.empty(len(order), dtype=np.int32)
         names[order] = np.cumsum(new)
-        rounds.append((cols, start, names))
-
-
-def _column_order(rounds):
-    """The columns in lexicographic order, and per position whether its
-    column differs from the one before.
-
-    Round k orders its columns by the name of their first block. Among
-    columns that tie there, a column absent from round k + 1 fits in that
-    block, so it equals the others that stop and is a proper prefix of
-    those that go on: it comes first, and the rest keep their order of
-    round k + 1.
-    """
-    at = np.empty(len(rounds[0][0]), dtype=np.int64)  # column -> index
-    rank = None
-    for cols, start, names in reversed(rounds):
-        key = _block(start, names, np.arange(len(cols)), 0).astype(np.int64)
-        if rank is not None:
-            at[cols] = np.arange(len(cols))
-            tie = np.zeros(len(cols), dtype=np.int64)
-            tie[at[above]] = rank + 1
-            key = key * (len(above) + 1) + tie
-        order, new = _sort_groups(key)
-        rank = np.empty(len(cols), dtype=np.int64)
-        rank[order] = np.cumsum(new) - 1
-        above = cols
-    return order, new
+        rounds.append((start, names))
 
 
 def _common_prefix(rounds, a, b):
     """Per pair, the length of the longest common prefix of columns a and b.
 
-    The walk goes down the rounds from the last one that holds both
-    columns, round ceil(log2 length) of the shorter one, where its first
-    block covers it. With the prefix known to 2**(k + 1) entries, round k
-    compares the next block of 2**k entries in both and adds 2**k if it
-    is equal.
+    The walk goes down the rounds from the last, whose one block covers
+    each column, so two different columns differ there. With the prefix
+    known to 2**(k + 1) entries, round k compares the next block of 2**k
+    entries in both and adds 2**k if it is equal.
     """
-    length = np.diff(rounds[0][1])
-    last = np.where(length > 0, np.frexp(length - 1)[1], -1)
-    deep = np.minimum(last[a], last[b])
-    by, deep = sort_order(deep)
-    a, b = a[by], b[by]
     lcp = np.zeros(len(a), dtype=np.int64)
-    at = np.empty(len(length), dtype=np.int64)  # column -> index
     for k in range(len(rounds) - 1, -1, -1):
-        cols, start, names = rounds[k]
-        at[cols] = np.arange(len(cols))
-        w = np.searchsorted(deep, k)
-        q = lcp[w:] >> k
-        same = (_block(start, names, at[a[w:]], q)
-                == _block(start, names, at[b[w:]], q))
-        lcp[w:] += same << k
-    lcp[by] = lcp.copy()
+        start, names = rounds[k]
+        q = lcp >> k
+        lcp += (_block(start, names, a, q) == _block(start, names, b, q)) << k
     return lcp
 
 
@@ -232,20 +186,24 @@ def compute_pf(f, lf, sl):
     the first rank where two columns differ, the column holding it comes
     later, and a proper prefix comes first. Written as entries m - rank,
     that is the plain lexicographic order; reading sl.flat backwards
-    gives every column end to end. Two adjacent columns are split by the
-    entry of the later one at their longest common prefix, which is the
-    row of the boundary between them; equal columns (twins) share a part,
-    in any order.
+    gives every column end to end. In the last naming round each column
+    is one block, or none if it is empty, and the block's name orders it
+    like its entries padded with 0s, which are below every entry. So one
+    sort of those names, an empty column taking 0, is the order. Two
+    adjacent columns are split by the entry of the later one at their
+    longest common prefix, which is the row of the boundary between them;
+    equal columns (twins) share a part, in any order.
     """
     n, m = f.n, f.m
     # sl.flat backwards holds the column of element e at place n - 1 - e
     rounds = _name_rounds(m - lf.rank[sl.flat[::-1]],
                           np.diff(sl.offsets)[::-1])
-    order, new = _column_order(rounds)
+    start, names = rounds[-1]
+    order, new = sort_groups(_block(start, names, np.arange(n), 0))
     cut = np.flatnonzero(new[1:]) + 1
     later = order[cut]
     lcp = _common_prefix(rounds, order[cut - 1], later)
-    _, start, names = rounds[0]
+    start, names = rounds[0]
     row = np.full(n, m, dtype=np.int32)
     row[cut] = m - names[start[later] + lcp]
     return PfOrder(n - 1 - order, row)
