@@ -123,7 +123,7 @@ def window_levels(values, span, op):
 
 
 def _block(start, names, i, q):
-    """Name of block q of each round's column i, 0 past the column's end."""
+    """Name of block q of column i in one round, 0 past the column's end."""
     j = start[i] + q
     return np.where(j < start[i + 1], names[np.minimum(j, len(names) - 1)], 0)
 
@@ -164,13 +164,14 @@ def _name_rounds(names, length):
 def _common_prefix(rounds, a, b):
     """Per pair, the length of the longest common prefix of columns a and b.
 
-    The walk goes down the rounds from the last, whose one block covers
-    each column, so two different columns differ there. With the prefix
-    known to 2**(k + 1) entries, round k compares the next block of 2**k
-    entries in both and adds 2**k if it is equal.
+    In the last round, K, each column is one block of at most 2**K
+    entries, so two different columns have a prefix of fewer than 2**K
+    in common, and the walk goes down the rounds from K - 1. With the
+    prefix known to 2**(k + 1) entries, round k compares the next block
+    of 2**k entries in both and adds 2**k if it is equal.
     """
     lcp = np.zeros(len(a), dtype=np.int64)
-    for k in range(len(rounds) - 1, -1, -1):
+    for k in range(len(rounds) - 2, -1, -1):
         start, names = rounds[k]
         q = lcp >> k
         lcp += (_block(start, names, a, q) == _block(start, names, b, q)) << k
