@@ -48,7 +48,7 @@ class C:
     ('def f():\n    """Docstring."""\n    # comment\n\n    return 1\n', 2),
     ('x = """a\nb\n\nc"""\n', 4),
     (SOURCE, 8),
-])
+], ids=["docstring_and_comments", "function", "string", "module"])
 def test_code_lines_counts(tmp_path, source, count):
     path = tmp_path / "sample.py"
     path.write_text(source)
