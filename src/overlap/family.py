@@ -28,7 +28,6 @@ __all__ = [
     "build_sl_lists",
     "segments",
     "sort_order",
-    "sort_groups",
 ]
 
 

@@ -20,19 +20,19 @@ between the same two positions of the final order, and the refinement
 need not be run. Pass 1 sorts the columns, each the list of LF ranks of
 the sets holding an element, by the naming of Karp, Miller and Rosenberg
 ("Rapid identification of repeated patterns in strings, trees and
-arrays", STOC 1972): each round names every column's aligned blocks of
-twice the length with one sort_groups call (family.py), until each
-column is one block, so ceil(log2 d) rounds, d the largest column, sort
-at most |F| + n ceil(log2 d) keys in all. As in the prefix doubling of
-suffix arrays (Manber and Myers, SIAM J. Comput. 1993), every column
-keeps a name in every round, so the last round's names are the order.
-The split between two adjacent columns is their first difference, found
-by walking down the rounds.
+arrays", STOC 1972): round k names the aligned blocks of 2**k entries
+with one sort_groups call (family.py). As in the prefix doubling of
+suffix arrays (Manber and Myers, SIAM J. Comput. 1993), each column
+carries a rank that every round refines by its first block's name, and
+a column leaves the rounds once its rank is final, so the rounds name
+O(|F| + n) blocks in all. The split between two adjacent columns is
+their first difference, found by walking their blocks down the rounds
+from the one that split them.
 """
 
 import numpy as np
 
-from .family import sort_groups
+from .family import sort_groups, sort_order
 
 __all__ = [
     "PfOrder",
@@ -122,60 +122,57 @@ def window_levels(values, span, op):
         yield level
 
 
-def _block(start, names, i, q):
-    """Name of block q of column i in one round, 0 past the column's end."""
-    j = start[i] + q
-    return np.where(j < start[i + 1], names[np.minimum(j, len(names) - 1)], 0)
+def _name_round(names, first, length, k):
+    """Round k of the naming of aligned blocks, made from round k - 1.
 
-
-def _name_rounds(names, length):
-    """Names of the aligned blocks of the columns, one round per doubling.
-
-    names holds the columns end to end, column c having length[c]
-    positive entries. In round 0 a block is one entry and its name the
-    entry. Round k names each block of 2**k entries of every column by
-    the dense rank, from 1, of the pair of its halves' names, a lone last
-    half pairing with 0. So two blocks of a round get one name exactly
-    when their entries are equal, and names order blocks like their
-    entries padded with 0s. The rounds stop when every column is at most
-    one block. Returns per round (start, names): start[c] is the offset
-    of column c's first block into the names, and start[-1] their count.
+    A round holds some of the columns end to end, each as its blocks
+    and then an end, a block named 0. In round 0 a block is one entry
+    and its name the entry. Round k takes the columns that start at
+    first in round k - 1, of length entries each, and names each of
+    their blocks of 2**k entries by the dense rank, from 1, of the pair
+    of its halves' names, a lone last half pairing with the column's
+    end. So two blocks of a round get one name exactly when their
+    entries are equal, and names order blocks like their entries padded
+    with 0s. Returns where each column starts, the names, and per block
+    the index of its left half in round k - 1, -1 for an end; its right
+    half is the next index.
     """
-    start = np.concatenate(([0], np.cumsum(length)))
-    rounds = [(start, names)]
-    while True:
-        count = np.diff(start)
-        if count.max() < 2:
-            return rounds
-        half = (count + 1) // 2
-        nstart = np.concatenate(([0], np.cumsum(half)))
-        left = 2 * np.arange(nstart[-1]) - np.repeat(
-            2 * nstart[:-1] - start[:-1], half)
-        right = names[np.minimum(left + 1, len(names) - 1)]
-        right[nstart[1:][count % 2 == 1] - 1] = 0
-        order, new = sort_groups(names[left].astype(np.int64)
-                                 * (int(names.max()) + 1) + right)
-        start = nstart
-        names = np.empty(len(order), dtype=np.int32)
-        names[order] = np.cumsum(new)
-        rounds.append((start, names))
+    size = ((length - 1) >> k) + 2  # the blocks and the end
+    end = np.cumsum(size) - 1
+    start = end - size + 1
+    left = 2 * np.arange(end[-1] + 1) - np.repeat(2 * start - first, size)
+    left[end] = -1
+    # an end's key, 0 * (max + 1) + names[0], is below every block's
+    key = names[left] * np.int64(int(names.max()) + 1)
+    key += names[left + 1]
+    order, new = sort_groups(key)
+    names = np.empty(len(order), dtype=np.int32)
+    names[order] = np.cumsum(new, dtype=np.int32) - 1
+    return start, names, left
 
 
-def _common_prefix(rounds, a, b):
-    """Per pair, the length of the longest common prefix of columns a and b.
+def _rank_round(rank, cols, name):
+    """One round of the ranks: cols are the round's columns, which hold
+    every column of each of their groups, and name their first blocks'.
 
-    In the last round, K, each column is one block of at most 2**K
-    entries, so two different columns have a prefix of fewer than 2**K
-    in common, and the walk goes down the rounds from K - 1. With the
-    prefix known to 2**(k + 1) entries, round k compares the next block
-    of 2**k entries in both and adds 2**k if it is equal.
+    A column's new rank is its old one plus the number of columns of its
+    group with a smaller name. In the list of cols sorted by name, that
+    is where its new group starts less where its old group starts; and
+    the old rank less where the old group starts is the running maximum
+    of old rank - place, since a group takes as many places of the list
+    as ranks. Returns which columns share their new group, and per split
+    the later group's rank and the two columns around the split.
     """
-    lcp = np.zeros(len(a), dtype=np.int64)
-    for k in range(len(rounds) - 2, -1, -1):
-        start, names = rounds[k]
-        q = lcp >> k
-        lcp += (_block(start, names, a, q) == _block(start, names, b, q)) << k
-    return lcp
+    order, new = sort_groups(name)
+    at = cols[order]
+    was = rank[at]
+    i = np.arange(len(at))
+    rank[at] = (np.maximum.accumulate(np.where(new, i, 0))
+                + np.maximum.accumulate(was - i))
+    keep = np.empty(len(at), dtype=bool)
+    keep[order] = ~(new & np.append(new[1:], True))
+    cut = np.flatnonzero(new[1:] & (was[1:] == was[:-1])) + 1
+    return keep, rank[at[cut]], order[np.stack((cut - 1, cut))]
 
 
 def compute_pf(f, lf, sl):
@@ -187,27 +184,59 @@ def compute_pf(f, lf, sl):
     the first rank where two columns differ, the column holding it comes
     later, and a proper prefix comes first. Written as entries m - rank,
     that is the plain lexicographic order; reading sl.flat backwards
-    gives every column end to end. In the last naming round each column
-    is one block, or none if it is empty, and the block's name orders it
-    like its entries padded with 0s, which are below every entry. So one
-    sort of those names, an empty column taking 0, is the order. Two
-    adjacent columns are split by the entry of the later one at their
-    longest common prefix, which is the row of the boundary between them;
-    equal columns (twins) share a part, in any order.
+    gives every column end to end.
+
+    As in the prefix doubling of suffix arrays (Manber and Myers, SIAM
+    J. Comput. 1993), each column keeps a rank: after round k, the
+    number of columns whose first 2**k entries, padded with 0s, sort
+    before its own. A group is the columns of one rank. Round k ranks
+    its columns by the name of their first block, which splits the
+    groups of round k - 1 it holds. Round k + 1 takes the columns that
+    share their group and have 2**k entries or more. A column alone in
+    its group is placed. A shorter column in a shared group has its end
+    among those 2**k entries, so the whole group is equal columns
+    (twins), which share a part; a group that can still split has no
+    such column, so a round holds every column of its groups. The
+    rounds stop when no column is left, and the columns in order of
+    rank, twins by index, are the order. A column of L entries is named
+    in at most log2 L + 1 rounds after round 0, in ceil(L / 2**k) blocks
+    and an end in round k, so the rounds hold at most 3 |F| + 2 n blocks
+    and ends beside round 0's |F| + n entries and ends.
+
+    A split in round k opens a boundary at the later group's rank,
+    between two columns whose first blocks differ in round k and whose
+    first halves, for k >= 1, are equal. Its row is the entry of the
+    later column where the two first differ: a walk takes both blocks
+    down to round 0, each round into their first halves that differ. A
+    boundary of round k takes k steps, and its later column, which has
+    more than 2**(k - 1) entries, opens at most one boundary a round, so
+    the walk takes O((log2 L)**2) steps for a column of L entries.
     """
     n, m = f.n, f.m
     # sl.flat backwards holds the column of element e at place n - 1 - e
-    rounds = _name_rounds(m - lf.rank[sl.flat[::-1]],
-                          np.diff(sl.offsets)[::-1])
-    start, names = rounds[-1]
-    order, new = sort_groups(_block(start, names, np.arange(n), 0))
-    cut = np.flatnonzero(new[1:]) + 1
-    later = order[cut]
-    lcp = _common_prefix(rounds, order[cut - 1], later)
-    start, names = rounds[0]
+    length = np.diff(sl.offsets)[::-1]
+    names = np.insert(m - lf.rank[sl.flat[::-1]], np.cumsum(length), 0)
+    first = np.cumsum(length + 1) - length - 1
+    cols, rank = np.arange(n), np.zeros(n, dtype=np.int64)
+    left, rounds = None, []
+    while True:
+        keep, pos, pair = _rank_round(rank, cols, names[first])
+        rounds.append((left, names, pos, first[pair]))
+        keep &= length >= 1 << (len(rounds) - 1)
+        if not keep.any():
+            break
+        cols, length = cols[keep], length[keep]
+        first, names, left = _name_round(names, first[keep], length,
+                                         len(rounds))
+    up, names, pos, ab = rounds.pop()
+    for left, names, p, pair in reversed(rounds):
+        ab = up[ab]  # the first halves, in this round, of the pairs above
+        ab += names[ab[0]] == names[ab[1]]
+        pos, up = np.concatenate((pos, p)), left
+        ab = np.concatenate((ab, pair), axis=1)
     row = np.full(n, m, dtype=np.int32)
-    row[cut] = m - names[start[later] + lcp]
-    return PfOrder(n - 1 - order, row)
+    row[pos] = m - names[ab[1]]
+    return PfOrder(n - 1 - sort_order(rank)[0], row)
 
 
 def compute_bounds(f, pf):
@@ -234,8 +263,7 @@ def compute_max(f, lf, pf, bounds):
     no larger. The pass is O((n + m) log w) numpy work for the longest
     window w.
     """
-    left = bounds.left
-    right = bounds.right
+    left, right = bounds.left, bounds.right
     width = right - left
     level_of = np.frexp(width)[1] - 1  # -1 for an empty window
     first = np.full(f.m, f.m, dtype=np.int32)  # m: nothing separates X

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlap.family import build_sl_lists, lf_order, parse_family
 from overlap.generate import gen_blocks, gen_nested, gen_star
+from overlap import maxcomp
 from overlap.maxcomp import compute_bounds, compute_max, compute_pf
 from overlap.oracle import max_oracle
 from overlap.partition import OrderedPartition
@@ -188,6 +190,42 @@ class TestPass1MatchesReference:
         # ranks, and element 1 then holds the last set, [1]
         f = make_family(*([0, 1, 2 + i] for i in range(2**17 - 1)), [1])
         assert_pass1_matches(f)
+
+    def test_twins_beside_columns_that_go_on(self):
+        # groups of equal columns stay in the rounds beside columns that
+        # share their first 2**k ids and differ only after them
+        columns = []
+        for length in (3, 4, 5, 8, 9, 16, 17):
+            spine = list(range(length))
+            columns += [spine] * 3 + [spine + [50]] * 2 + [spine + [51]]
+            columns += [spine[:-1] + [52]] * 2
+        assert_pass1_matches(family_of_columns(columns))
+
+
+@pytest.mark.parametrize("f", [
+    parse_family(gen_star(2**12)),
+    make_family(*([0, 1, 2 + i] for i in range(2**12)), [1]),
+    parse_family(gen_nested(256)),
+], ids=["star", "two_long_columns", "nested"])
+def test_pass1_sorts_linear_keys(monkeypatch, f):
+    """Pass 1 sorts fewer than 2 (|F| + n) keys in all: a column leaves
+    the rounds once it is placed, so one long column beside many short
+    ones costs no sort work per round for the short ones."""
+    sorted_keys = []
+
+    def counting(sort):
+        def wrapped(key):
+            sorted_keys.append(len(key))
+            return sort(key)
+        return wrapped
+
+    for name in ("sort_groups", "sort_order"):
+        monkeypatch.setattr(maxcomp, name, counting(getattr(maxcomp, name)))
+    lf = lf_order(f)
+    sl = build_sl_lists(f, lf)
+    pf = maxcomp.compute_pf(f, lf, sl)
+    assert sum(sorted_keys) < 2 * (f.total_size + f.n)
+    assert columns_lex_sorted(f, lf, pf)
 
 
 def columns_lex_sorted(f, lf, pf):
