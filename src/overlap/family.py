@@ -87,12 +87,12 @@ def sort_order(key):
 
 
 def sort_groups(key):
-    """The order that sorts key (sort_order's), and per sorted entry
-    whether it differs from the entry before it (True for the first)."""
+    """sort_order's order and sorted keys, and per sorted entry whether
+    it differs from the entry before it (True for the first)."""
     order, key = sort_order(key)
     new = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=new[1:])
-    return order, new
+    return order, key, new
 
 
 def _flatten(rows, lookup):
@@ -370,7 +370,7 @@ def _wide_names(read, start, length):
         done += 8
         shared = ~(head & np.append(head[1:], True))
         live = live[shared & (length[live] > done)]
-    order, first = sort_groups(name)
+    order, _, first = sort_groups(name)
     dense = np.empty(len(name), dtype=np.uint64)
     dense[order] = np.cumsum(first) - 1
     return dense, order[first]
@@ -456,8 +456,8 @@ def parse_family(source):
         del keep
     key, wide = _token_keys(data, start, length)
     del data, b, start, length
-    order, first = sort_groups(key)
-    tokens = _decode(key[order[first]], wide)
+    order, key, first = sort_groups(key)
+    tokens = _decode(key[first], wide)
     del key
     group = np.cumsum(first, dtype=np.int32)
     group -= 1

@@ -126,53 +126,57 @@ def _name_round(names, first, length, k):
     """Round k of the naming of aligned blocks, made from round k - 1.
 
     A round holds some of the columns end to end, each as its blocks
-    and then an end, a block named 0. In round 0 a block is one entry
-    and its name the entry. Round k takes the columns that start at
-    first in round k - 1, of length entries each, and names each of
-    their blocks of 2**k entries by the dense rank, from 1, of the pair
-    of its halves' names, a lone last half pairing with the column's
-    end. So two blocks of a round get one name exactly when their
-    entries are equal, and names order blocks like their entries padded
-    with 0s. Returns where each column starts, the names, and per block
-    the index of its left half in round k - 1, -1 for an end; its right
-    half is the next index.
+    and then a 0, a block that is no part of it, if it has an odd count
+    of them or is the last column: so every block has a right half in
+    the round before, the 0 for a lone last half, and the round ends
+    with a 0. In round 0 a block is one entry and its name the entry,
+    and every column ends with a 0. Round k takes the columns that
+    start at first in round k - 1, of length entries each, and names
+    each of their blocks of 2**k entries by the dense rank, from 1, of
+    the pair of its halves' names. So two blocks of a round get one name
+    exactly when their entries are equal, and names order blocks like
+    their entries padded with 0s. Returns where each column starts, the
+    names, and per block the index of its left half in round k - 1, -1
+    for a 0; its right half is the next index.
     """
-    size = ((length - 1) >> k) + 2  # the blocks and the end
-    end = np.cumsum(size) - 1
-    start = end - size + 1
-    left = 2 * np.arange(end[-1] + 1) - np.repeat(2 * start - first, size)
-    left[end] = -1
-    # an end's key, 0 * (max + 1) + names[0], is below every block's
+    count = ((length - 1) >> k) + 1
+    size = count + (count & 1)
+    size[-1] = count[-1] + 1
+    start = np.cumsum(size) - size
+    left = 2 * np.arange(size.sum()) - np.repeat(2 * start - first, size)
+    left[(start + count)[count < size]] = -1
+    # a 0's key, 0 * (max + 1) + names[0], is below every block's
     key = names[left] * np.int64(int(names.max()) + 1)
     key += names[left + 1]
-    order, new = sort_groups(key)
+    order, _, new = sort_groups(key)
     names = np.empty(len(order), dtype=np.int32)
     names[order] = np.cumsum(new, dtype=np.int32) - 1
     return start, names, left
 
 
-def _rank_round(rank, cols, name):
+def _rank_round(rank, cols, name, keep):
     """One round of the ranks: cols are the round's columns, which hold
-    every column of each of their groups, and name their first blocks'.
+    every column of each of their groups, name their first blocks', and
+    keep marks those long enough for the next round.
 
     A column's new rank is its old one plus the number of columns of its
     group with a smaller name. In the list of cols sorted by name, that
     is where its new group starts less where its old group starts; and
     the old rank less where the old group starts is the running maximum
     of old rank - place, since a group takes as many places of the list
-    as ranks. Returns which columns share their new group, and per split
-    the later group's rank and the two columns around the split.
+    as ranks. Narrows keep to the columns that share their new group,
+    and returns per split the later group's rank and the two columns
+    around the split.
     """
-    order, new = sort_groups(name)
+    order, _, new = sort_groups(name)
     at = cols[order]
     was = rank[at]
     i = np.arange(len(at))
     rank[at] = (np.maximum.accumulate(np.where(new, i, 0))
                 + np.maximum.accumulate(was - i))
-    keep = np.empty(len(at), dtype=bool)
-    keep[order] = ~(new & np.append(new[1:], True))
+    keep[order] &= ~(new & np.append(new[1:], True))
     cut = np.flatnonzero(new[1:] & (was[1:] == was[:-1])) + 1
-    return keep, rank[at[cut]], order[np.stack((cut - 1, cut))]
+    return rank[at[cut]], order[np.stack((cut - 1, cut))]
 
 
 def compute_pf(f, lf, sl):
@@ -220,9 +224,9 @@ def compute_pf(f, lf, sl):
     cols, rank = np.arange(n), np.zeros(n, dtype=np.int64)
     left, rounds = None, []
     while True:
-        keep, pos, pair = _rank_round(rank, cols, names[first])
+        keep = length >= 1 << len(rounds)
+        pos, pair = _rank_round(rank, cols, names[first], keep)
         rounds.append((left, names, pos, first[pair]))
-        keep &= length >= 1 << (len(rounds) - 1)
         if not keep.any():
             break
         cols, length = cols[keep], length[keep]
