@@ -156,8 +156,8 @@ def _name_round(names, first, length, k):
 
 def _rank_round(rank, cols, name, keep):
     """One round of the ranks: cols are the round's columns, which hold
-    every column of each of their groups, name their first blocks', and
-    keep marks those long enough for the next round.
+    every column of each of their groups, name holds the names of their
+    first blocks, and keep marks those long enough for the next round.
 
     A column's new rank is its old one plus the number of columns of its
     group with a smaller name. In the list of cols sorted by name, that
@@ -204,17 +204,18 @@ def compute_pf(f, lf, sl):
     rounds stop when no column is left, and the columns in order of
     rank, twins by index, are the order. A column of L entries is named
     in at most log2 L + 1 rounds after round 0, in ceil(L / 2**k) blocks
-    and an end in round k, so the rounds hold at most 3 |F| + 2 n blocks
-    and ends beside round 0's |F| + n entries and ends.
+    and at most one 0 in round k, so those rounds hold at most
+    3 |F| + 2 n slots in all, beside round 0's |F| + n.
 
     A split in round k opens a boundary at the later group's rank,
     between two columns whose first blocks differ in round k and whose
     first halves, for k >= 1, are equal. Its row is the entry of the
     later column where the two first differ: a walk takes both blocks
-    down to round 0, each round into their first halves that differ. A
-    boundary of round k takes k steps, and its later column, which has
-    more than 2**(k - 1) entries, opens at most one boundary a round, so
-    the walk takes O((log2 L)**2) steps for a column of L entries.
+    down to round 0, each round into their left halves if those differ
+    and their right halves if not. A boundary of round k takes k steps,
+    and its later column, which has more than 2**(k - 1) entries, opens
+    at most one boundary a round, so the walk takes O((log2 L)**2)
+    steps for a column of L entries.
     """
     n, m = f.n, f.m
     # sl.flat backwards holds the column of element e at place n - 1 - e
@@ -234,7 +235,7 @@ def compute_pf(f, lf, sl):
                                          len(rounds))
     up, names, pos, ab = rounds.pop()
     for left, names, p, pair in reversed(rounds):
-        ab = up[ab]  # the first halves, in this round, of the pairs above
+        ab = up[ab]  # the left halves, in this round, of the pairs above
         ab += names[ab[0]] == names[ab[1]]
         pos, up = np.concatenate((pos, p)), left
         ab = np.concatenate((ab, pair), axis=1)
@@ -267,7 +268,8 @@ def compute_max(f, lf, pf, bounds):
     no larger. The pass is O((n + m) log w) numpy work for the longest
     window w.
     """
-    left, right = bounds.left, bounds.right
+    left = bounds.left
+    right = bounds.right
     width = right - left
     level_of = np.frexp(width)[1] - 1  # -1 for an empty window
     first = np.full(f.m, f.m, dtype=np.int32)  # m: nothing separates X
