@@ -4,8 +4,11 @@ Scanning an SL list (the sets holding one element, by increasing size),
 a set X with a Max opens an interval that covers the following entries Z
 while |Z| <= |Max(X)|. covers() returns every covered entry paired with
 the nearest earlier entry of its list whose interval covers it; when no
-set has a Max nothing is covered and both are empty. Both graphs are
-built from those pairs. The helper (Dahlhaus) graph links each covered
+set has a Max nothing is covered and both are empty. Most entries are
+covered by the entry just before them, and one shifted comparison over
+all of sl.flat settles those; only the entries it leaves walk a table of
+window maxima back from two entries before. Both graphs are built from
+those pairs. The helper (Dahlhaus) graph links each covered
 entry to the entry just before it in its list. It has at most |F| edges
 yet the same connected components as the full overlap graph, so
 spanning_forest(res.dgraph) gives the overlap classes. It is generally
@@ -45,11 +48,13 @@ def dedup_sorted_pairs(ea, eb, m):
     times slower than the sort on 4M keys. Returns the pairs as two int32
     arrays.
     """
-    keys = np.asarray(ea, dtype=np.int64) * m + np.asarray(eb, dtype=np.int64)
+    keys = np.array(ea, dtype=np.int64)
+    keys *= m
+    keys += np.asarray(eb, dtype=np.int64)
     keys.sort()
     keep = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    keys = keys[keep]
+    keys = keys[np.flatnonzero(keep)]
     b = (keys % m).astype(np.int32)
     keys //= m
     return keys.astype(np.int32), b
@@ -230,43 +235,68 @@ def spanning_forest(g):
     return SpanningForest(root, g.a[kept], g.b[kept])
 
 
-def _nearest_cover(reach, need, starts):
-    """The queries j that have an i in [starts[j], j) with reach[i] >=
-    need[j], and for each the largest such i, as two index arrays.
+def _nearest_cover(reach, need, q, span):
+    """Per entry j of q, the largest i <= j - 2 with reach[i] >= need[j]
+    when one lies at j - 1 - span or after; otherwise an index below
+    that, -1 when the walk ends on an entry that does not reach.
 
     Binary lifting over a table of window maxima: level k holds the
     maximum of reach over the 2**k entries ending at each index, and every
     query walks left over whole windows that cannot cover it, largest
     window first.
     """
-    q = np.arange(len(need), dtype=np.int32)
-    levels = list(window_levels(reach, int((q - starts).max(initial=0)),
-                                np.maximum))
-    cur = q - 1
+    need = need[q]
+    cur = q - 2
+    levels = list(window_levels(reach, span, np.maximum))
     for k in range(len(levels) - 1, -1, -1):
         jump = levels[k][np.maximum(cur, 0)] < need
         np.subtract(cur, 1 << k, out=cur, where=jump)
-    j = np.flatnonzero((cur >= starts) & (reach[np.maximum(cur, 0)] >= need))
-    return j, cur[j]
+    return np.where(reach[np.maximum(cur, 0)] >= need, cur, -1)
 
 
 def covers(f, sl, maxes):
     """Every covered entry of sl.flat and the entry that covers it.
 
     Returns two index arrays into sl.flat, covered and by: by[k] is the
-    nearest earlier entry of covered[k]'s SL list whose Max is at least as
-    large as covered[k]'s set. Only a set with a Max covers, so when no
-    set has one both arrays are empty and no window table is built.
+    nearest earlier entry of covered[k]'s SL list whose Max is at least
+    as large as covered[k]'s set. Most covers are by the entry just
+    before, and one shifted comparison settles those. Only the entries
+    it leaves from the third of each list on walk the window table, from
+    two entries back; the first two entries of a list have nothing
+    further back in it. Only a set with a Max covers, so when no set has
+    one both arrays are empty and no window table is built.
     """
     mx = maxes.partners
     if not (mx >= 0).any():
         return np.zeros(0, np.int32), np.zeros(0, np.int32)
     sizes = f.sizes
-    reach = np.where(mx >= 0, sizes[mx], 0).astype(
-        np.min_scalar_type(sizes.max()))
+    small = np.min_scalar_type(sizes.max())
     flat = sl.flat
-    starts = np.repeat(sl.offsets[:-1].astype(np.int32), np.diff(sl.offsets))
-    return _nearest_cover(reach[flat], sizes[flat], starts)
+    reach = np.where(mx >= 0, sizes[mx], 0).astype(small)[flat]
+    need = sizes.astype(small)[flat]
+    heads = sl.offsets[:-1]
+    # near and walk hold entry j at j - 1. near: entry j - 1 covers
+    # entry j, which does not start a list
+    near = reach[:-1] >= need[1:]
+    at_heads = heads[(heads > 0) & (heads < len(flat))] - 1
+    near[at_heads] = False
+    # walk: the entries near leaves, from the third of each list on
+    walk = ~near
+    walk[at_heads] = False
+    walk[heads[heads < len(near)]] = False
+    q = by = np.flatnonzero(walk) + 1
+    if len(q):
+        by = _nearest_cover(reach, need, q,
+                            int(np.diff(sl.offsets).max()) - 2)
+        hit = np.flatnonzero(by >= 0)
+        q, by = q[hit], by[hit]
+        hit = by >= sl.offsets[np.searchsorted(sl.offsets, q, "right") - 1]
+        q, by = q[hit], by[hit]
+        near[q - 1] = True
+    covered = np.flatnonzero(near) + 1
+    nearest = (covered - 1).astype(np.int32)
+    nearest[np.searchsorted(covered, q)] = by
+    return covered, nearest
 
 
 def build_dgraph(f, sl, maxes):

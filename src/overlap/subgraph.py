@@ -32,35 +32,39 @@ def _collect(f, sl, maxes):
     eb = np.maximum(has, mx[has])
     covered, by = covers(f, sl, maxes)
     qx, qy = sl.flat[by], sl.flat[covered]
-    keep = qy != mx[qx]
+    keep = np.flatnonzero(qy != mx[qx])
     return ea, eb, qx[keep], qy[keep]
 
 
-def _holds(pf, sl, bounds, pos, y):
-    """Per query i, whether set y[i] holds the element at position pos[i].
+def _holds(pf, sl, ly, ry, pos, y):
+    """Per query i, whether set y[i], whose elements lie between
+    positions ly[i] and ry[i], holds the element at position pos[i].
 
-    A set's elements lie between its own bounds and include the two at
-    them, so only a position strictly inside needs a lookup.
+    A set's elements include the two at its bounds, so only a position
+    strictly inside needs a lookup.
     """
-    ly = bounds.left[y]
-    ry = bounds.right[y]
     hit = (pos == ly) | (pos == ry)
-    inside = (ly < pos) & (pos < ry)
+    inside = np.flatnonzero((ly < pos) & (pos < ry))
     hit[inside] = sl.contains(pf.elem_at[pos[inside]], y[inside])
     return hit
 
 
-def _resolve(pf, sl, bounds, left, right, mx, qx, qy):
-    """Turn each quintuple (left, right, x, y, mx) into an overlap edge.
+def _resolve(pf, sl, bounds, maxes, qx, qy):
+    """Turn each quintuple (left(X), right(X), X, Y, Max(X)) into an
+    overlap edge.
 
-    If Y misses the element at position left, or misses the element at
-    position right, Y overlaps X; otherwise Y overlaps Max(X). Both
-    phases are one batched membership test each. Returns the edge
-    endpoints, smaller first, with duplicates.
+    If Y misses the element at position left(X), or misses the element
+    at position right(X), Y overlaps X; otherwise Y overlaps Max(X).
+    Both phases are one batched membership test each, the second only
+    for the rows the first kept. Returns the edge endpoints, smaller
+    first, with duplicates.
     """
-    both = _holds(pf, sl, bounds, left, qy)
-    both[both] = _holds(pf, sl, bounds, right[both], qy[both])
-    a = np.where(both, mx, qx)
+    ly, ry = bounds.left[qy], bounds.right[qy]
+    rows = np.flatnonzero(_holds(pf, sl, ly, ry, bounds.left[qx], qy))
+    rows = rows[_holds(pf, sl, ly[rows], ry[rows], bounds.right[qx[rows]],
+                       qy[rows])]
+    a = qx.copy()
+    a[rows] = maxes.partners[qx[rows]]
     return np.minimum(a, qy), np.maximum(a, qy)
 
 
@@ -69,8 +73,7 @@ def build_overlap_subgraph(f, sl, maxes, bounds, pf):
     if len(qx) > f.total_size:
         raise AssertionError(
             "created %d quintuples for |F| = %d" % (len(qx), f.total_size))
-    ra, rb = _resolve(pf, sl, bounds, bounds.left[qx], bounds.right[qx],
-                      maxes.partners[qx], qx, qy)
+    ra, rb = _resolve(pf, sl, bounds, maxes, qx, qy)
     a, b = dedup_sorted_pairs(np.concatenate((ea, ra)),
                               np.concatenate((eb, rb)), f.m)
     if len(a) > f.m + f.total_size:

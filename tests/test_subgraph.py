@@ -1,13 +1,16 @@
 import numpy as np
 
-from overlap.dgraph import UnionFind, dedup_sorted_pairs
-from overlap.family import build_sl_lists, lf_order
-from overlap.maxcomp import compute_bounds, compute_max, compute_pf
+from overlap.dgraph import (UnionFind, build_dgraph, covers,
+                            dedup_sorted_pairs)
+from overlap.family import build_sl_lists, lf_order, parse_family
+from overlap.maxcomp import (Bounds, MaxAssignment, compute_bounds,
+                             compute_max, compute_pf)
 from overlap.oracle import overlap_graph_full, overlaps
 from overlap.pipeline import run_pipeline
 from overlap.subgraph import _collect, _resolve, build_overlap_subgraph
 
 from conftest import make_family, random_family, seeded_rng
+from test_dgraph import running_max_dgraph
 
 
 def stages(f):
@@ -29,9 +32,14 @@ def collect(f, sl, maxes, bounds):
 
 
 def resolve(pf, sl, bounds, left, right, x, y, mx):
-    """The edges that the one quintuple (left, right, x, y, mx) gives."""
-    a, b = _resolve(pf, sl, bounds, *(np.array([v]) for v in
-                                      (left, right, mx, x, y)))
+    """The edges that the one quintuple (left, right, x, y, mx) gives:
+    x's bounds are taken as left and right, and its Max as mx."""
+    lo, hi = bounds.left.copy(), bounds.right.copy()
+    lo[x], hi[x] = left, right
+    partners = np.full(len(lo), -1, dtype=np.int32)
+    partners[x] = mx
+    a, b = _resolve(pf, sl, Bounds(lo, hi), MaxAssignment(partners),
+                    np.array([x]), np.array([y]))
     return list(zip(a.tolist(), b.tolist()))
 
 
@@ -168,20 +176,35 @@ class TestForest:
                     assert uf.union(*e)  # acyclic: every tree edge unites
 
 
+def stack_covers(f, sl, maxes):
+    """Per SL list, a stack scan for each entry's nearest earlier entry
+    whose Max is at least as large as the entry's set; the covered
+    entries and their covers as pairs of positions in sl.flat."""
+    sizes = f.sizes.tolist()
+    reach = [0 if v < 0 else sizes[v] for v in maxes.partners.tolist()]
+    flat = sl.flat.tolist()
+    offsets = sl.offsets.tolist()
+    out = []
+    for lo, hi in zip(offsets, offsets[1:]):
+        stack = []
+        for j in range(lo, hi):
+            while stack and reach[flat[stack[-1]]] < sizes[flat[j]]:
+                stack.pop()
+            if stack:
+                out.append((j, stack[-1]))
+            if reach[flat[j]]:
+                stack.append(j)
+    return out
+
+
 def stack_quintuples(f, sl, maxes):
     """The per-list stack scan the vectorized collection replaced."""
     mv = maxes.values
-    reach = [0 if v is None else f.sizes[v] for v in mv]
     out = []
-    for lst in sl.lists:
-        stack = []
-        for z in lst:
-            while stack and reach[stack[-1]] < f.sizes[z]:
-                stack.pop()
-            if stack and z not in (stack[-1], mv[stack[-1]]):
-                out.append((stack[-1], z))
-            if reach[z]:
-                stack.append(z)
+    for j, i in stack_covers(f, sl, maxes):
+        x, z = int(sl.flat[i]), int(sl.flat[j])
+        if z not in (x, mv[x]):
+            out.append((x, z))
     return out
 
 
@@ -203,3 +226,72 @@ def test_forest_matches_union_find_sweep_random():
         kept = [e for e in res.subgraph.edges if uf.union(*e)]
         assert sorted(e for tree in res.forest.tree_edges for e in tree) \
             == kept, f.sets
+
+
+def hub_family(rng):
+    """A family with long SL lists, as text with elements in no set.
+
+    The first 16 to 26 sets each draw 1 to 12 elements from a pool of
+    16, and nine in ten of them, or just one, also hold the hub h. Then
+    come the nested sets {h, c1, ..., ck}, for k from 13 to a chain of 44
+    to 48, all larger than the drawn sets, and the set Z of h, the whole
+    chain and z. Nothing larger overlaps a chain set, so none has a Max,
+    while each drawn set with h overlaps Z and reaches it: on h's list
+    the last drawn set covers the chain and Z, across more than half the
+    list, and across all of it when it is the only one. Nothing covers
+    an entry of a chain element's list after its first.
+    '!universe' lines declare elements in no set first, midway and last,
+    so their empty SL lists lie at the start, middle and end of sl.flat.
+    """
+    lines = ["!universe u0 u1"]
+    m = rng.randint(16, 26)
+    holders = rng.sample(range(m), rng.choice([1, m - m // 10]))
+    for i in range(m):
+        tokens = ["p%d" % e for e in rng.sample(range(16), rng.randint(1, 12))]
+        if i in holders:
+            tokens.insert(rng.randrange(len(tokens) + 1), "h")
+        lines.append(" ".join(tokens))
+        if i == m // 2:
+            lines.append("!universe u2")
+    chain = ["c%d" % k for k in range(rng.randint(44, 48))]
+    lines += [" ".join(["h"] + chain[:k]) for k in range(13, len(chain) + 1)]
+    lines += [" ".join(["h"] + chain + ["z"]), "!universe u3 u4"]
+    return parse_family("\n".join(lines) + "\n")
+
+
+def test_covers_match_stack_scan_on_long_lists():
+    rng = seeded_rng(43)
+    distances = set()
+    uncovered = empty_start = empty_middle = empty_end = 0
+    beyond = whole = 0
+    for _ in range(30):
+        f = hub_family(rng)
+        _, sl, _, bounds, maxes = stages(f)
+        covered, by = covers(f, sl, maxes)
+        pairs = stack_covers(f, sl, maxes)
+        assert list(zip(covered.tolist(), by.tolist())) == pairs
+        _, lq1 = collect(f, sl, maxes, bounds)
+        assert [q[2:4] for q in lq1] == stack_quintuples(f, sl, maxes)
+        edges, raw = running_max_dgraph(f, sl, maxes)
+        g = build_dgraph(f, sl, maxes)
+        assert (g.edges, g.raw_edge_count) == (edges, raw)
+        # the cover walk's largest window spans the largest power of two
+        # at most the longest list's length less 2; when that length is
+        # a power of two, a cover across the whole list needs every level
+        lengths = np.diff(sl.offsets)
+        longest = int(lengths.max())
+        window = 1 << (longest - 2).bit_length() - 1
+        distance = covered - by
+        distances.update(distance.tolist())
+        beyond += int((distance > window).sum())
+        whole += window == longest - 2 and (distance == longest - 1).any()
+        heads = np.count_nonzero(lengths)
+        uncovered += len(sl.flat) - heads - len(covered)
+        empty = np.flatnonzero(lengths == 0)
+        empty_start += int(empty[0] == 0)
+        empty_end += int(empty[-1] == f.n - 1)
+        empty_middle += int(((sl.offsets[empty] > 0)
+                             & (sl.offsets[empty] < len(sl.flat))).any())
+    assert {1, 2} <= distances
+    assert beyond and whole and uncovered
+    assert empty_start == empty_middle == empty_end == 30

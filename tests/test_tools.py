@@ -17,6 +17,7 @@ def load_tool(name):
 
 
 code_lines = load_tool("code_lines")
+layer_times = load_tool("layer_times")
 output_digests = load_tool("output_digests")
 
 SOURCE = '''"""Module docstring
@@ -97,3 +98,17 @@ def test_output_digests_errors(tmp_path, capsys):
     bad.write_text("a b\n\nc\n")
     assert output_digests.main([str(bad)]) == 1
     assert "exited" in capsys.readouterr().err
+
+
+def test_layer_times_prints_one_table_row(tmp_path, capsys):
+    path = tmp_path / "fam_a.txt"
+    path.write_text(FAM_A_TEXT)
+    assert layer_times.main([str(path), "--repeats", "2"]) == 0
+    header, row = [[cell.strip() for cell in line.split("|")[1:-1]]
+                   for line in capsys.readouterr().out.splitlines()]
+    assert header == ["parse", "orders", "pass 1", "bounds", "pass 3",
+                      "covers", "resolve", "dedup", "forest", "JSON out"]
+    values = [float(cell) for cell in row]
+    assert len(values) == len(header) and min(values) >= 0
+    with pytest.raises(SystemExit):
+        layer_times.main([str(path), "--repeats", "0"])
