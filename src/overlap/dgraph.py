@@ -48,13 +48,11 @@ def dedup_sorted_pairs(ea, eb, m):
     times slower than the sort on 4M keys. Returns the pairs as two int32
     arrays.
     """
-    keys = np.array(ea, dtype=np.int64)
-    keys *= m
-    keys += np.asarray(eb, dtype=np.int64)
+    keys = np.asarray(ea, dtype=np.int64) * m + np.asarray(eb, dtype=np.int64)
     keys.sort()
     keep = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    keys = keys[np.flatnonzero(keep)]
+    keys = keys[keep]
     b = (keys % m).astype(np.int32)
     keys //= m
     return keys.astype(np.int32), b

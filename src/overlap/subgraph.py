@@ -32,7 +32,7 @@ def _collect(f, sl, maxes):
     eb = np.maximum(has, mx[has])
     covered, by = covers(f, sl, maxes)
     qx, qy = sl.flat[by], sl.flat[covered]
-    keep = np.flatnonzero(qy != mx[qx])
+    keep = qy != mx[qx]
     return ea, eb, qx[keep], qy[keep]
 
 
