@@ -283,6 +283,7 @@ def covers(f, sl, maxes):
     walk[at_heads] = False
     walk[heads[heads < len(near)]] = False
     q = by = np.flatnonzero(walk) + 1
+    del walk  # freeing |F|-sized temporaries early lowers the peak RSS
     if len(q):
         by = _nearest_cover(reach, need, q,
                             int(np.diff(sl.offsets).max()) - 2)
@@ -291,6 +292,7 @@ def covers(f, sl, maxes):
         hit = by >= sl.offsets[np.searchsorted(sl.offsets, q, "right") - 1]
         q, by = q[hit], by[hit]
         near[q - 1] = True
+    del reach, need
     covered = np.flatnonzero(near) + 1
     nearest = (covered - 1).astype(np.int32)
     nearest[np.searchsorted(covered, q)] = by

@@ -61,8 +61,8 @@ def _resolve(pf, sl, bounds, maxes, qx, qy):
     """
     ly, ry = bounds.left[qy], bounds.right[qy]
     rows = np.flatnonzero(_holds(pf, sl, ly, ry, bounds.left[qx], qy))
-    rows = rows[_holds(pf, sl, ly[rows], ry[rows], bounds.right[qx[rows]],
-                       qy[rows])]
+    ly, ry = ly[rows], ry[rows]
+    rows = rows[_holds(pf, sl, ly, ry, bounds.right[qx[rows]], qy[rows])]
     a = qx.copy()
     a[rows] = maxes.partners[qx[rows]]
     return np.minimum(a, qy), np.maximum(a, qy)
