@@ -8,9 +8,9 @@ set has a Max nothing is covered and both are empty. Most entries are
 covered by the entry just before them, and one shifted comparison over
 all of sl.flat settles those; only the entries it leaves walk a table of
 window maxima back from two entries before. Both graphs are built from
-those pairs. The helper (Dahlhaus) graph links each covered
-entry to the entry just before it in its list. It has at most |F| edges
-yet the same connected components as the full overlap graph, so
+those pairs. The helper (Dahlhaus) graph links each covered entry to the
+entry just before it in its list. It has at most |F| edges yet the same
+connected components as the full overlap graph, so
 spanning_forest(res.dgraph) gives the overlap classes. It is generally
 NOT a subgraph of the overlap graph, so its edges mean nothing pairwise.
 The true subgraph (subgraph.py) turns each cover into an overlap edge.
