@@ -10,6 +10,7 @@ import json
 import signal
 import subprocess
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -305,8 +306,11 @@ def bench_one(target, seed):
     """
     m = max(1, target // 8)
     n = max(4, m // 2)
-    sets = gen_random_sets(n, m, seed, min_size=2, max_size=14)
-    f = SetFamily(["e%d" % i for i in range(n)], sets)
+    sets = list(gen_random_sets(n, m, seed, min_size=2, max_size=14))
+    f = SetFamily(["e%d" % i for i in range(n)],
+                  np.fromiter(chain.from_iterable(sets), dtype=np.int32),
+                  np.fromiter(map(len, sets), dtype=np.int32, count=m))
+    del sets
     sums = {}
     runs = 0
     gc.collect()

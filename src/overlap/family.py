@@ -2,9 +2,11 @@
 
 A family is m subsets of a universe of n elements. Elements are interned
 to dense indices; all algorithms downstream work on indices only and the
-original tokens are kept solely for output. parse_family reads the text
-format from its UTF-8 bytes with numpy and interns the tokens through
-sort_order.
+original tokens are kept solely for output. SetFamily(tokens, elems,
+sizes) builds a family from its flat form and is the only constructor.
+parse_family reads the text format from its UTF-8 bytes with numpy,
+interns the tokens through sort_order and calls it; no other code
+interns labels.
 
 sort_order is the one sort kernel of the package: every ordering made
 here and in maxcomp and dgraph packs each key with its index into one
@@ -12,8 +14,6 @@ int64 and sorts those with np.sort. sort_groups also marks where each
 run of equal keys starts.
 """
 
-import operator
-from collections import defaultdict
 from functools import cached_property
 
 import numpy as np
@@ -95,47 +95,25 @@ def sort_groups(key):
     return order, key, new
 
 
-def _flatten(rows, lookup):
-    """lookup of every label of the rows, end to end, and each row's length.
-
-    Both come back as int32 arrays. Each row is looked up in one C-level
-    pass (list += map), which keeps only references to the ints lookup
-    returns; a list grows faster here than an array('i'), which appends
-    item by item. from_elements looks labels up in a defaultdict whose
-    default_factory is its own __len__, which numbers each label on first
-    appearance; SetFamily passes element indices through operator.index.
-    """
-    elems = []
-    sizes = []
-    for row in rows:
-        before = len(elems)
-        elems += map(lookup, row)
-        sizes.append(len(elems) - before)
-    return np.array(elems, dtype=np.int32), np.array(sizes, dtype=np.int32)
-
-
 class SetFamily:
-    """A family of m non-empty subsets over an interned universe of n elements.
+    """A family of m non-empty subsets over a universe of n elements.
 
-    tokens: original element names, indexed 0..n-1.
+    tokens: element names, indexed 0..n-1.
     elems, offsets: the sets in flat (CSR) form, set i being
     elems[offsets[i]:offsets[i + 1]] (int32 and int64 arrays).
     sizes: int32 set cardinalities; total_size is their sum (|F|).
     sets: the same sets as m lists of element indices, built on first
     access.
+
+    A family is built from the text format by parse_family, or from the
+    flat form by SetFamily(tokens, elems, sizes), elems and sizes being
+    integer arrays: set i is the next sizes[i] entries of elems, each an
+    index into tokens. The sizes must be positive and add up to
+    len(elems). An element repeated within its set is dropped, and its
+    first place kept.
     """
 
-    def __init__(self, tokens, sets):
-        """sets are sequences of element indices; unlike parse_family and
-        from_elements, an element repeated within a set is an error."""
-        elems, sizes = _flatten(sets, operator.index)
-        self._store(tokens, elems, sizes)
-        if self.total_size < len(elems):
-            raise ValueError("duplicate element within a set")
-
-    def _store(self, tokens, elems, sizes):
-        """Keep the sets given flat; an element repeated within its set is
-        dropped, and its first place kept."""
+    def __init__(self, tokens, elems, sizes):
         self.tokens = list(tokens)
         self.n = len(self.tokens)
         self.m = len(sizes)
@@ -143,10 +121,16 @@ class SetFamily:
             raise ValueError("family has no sets")
         if not sizes.all():
             raise ValueError("empty set in family")
+        if (sizes < 0).any() or sizes.sum(dtype=np.int64) != len(elems):
+            raise ValueError("set sizes do not split the %d elements"
+                             % len(elems))
+        # checked before the int32 cast, so a wider index cannot wrap
         outside = (elems < 0) | (elems >= self.n)
         if outside.any():
             raise ValueError("element index %r out of range"
                              % (int(elems[outside.argmax()]),))
+        elems = elems.astype(np.int32, copy=False)
+        sizes = sizes.astype(np.int32, copy=False)
         # sort_order is stable, so sorting the set * n + element keys puts
         # the repeats of an element within its set right after it
         order, keys = sort_order(np.repeat(
@@ -154,39 +138,19 @@ class SetFamily:
         rep = np.zeros(len(keys), dtype=bool)
         rep[order[1:]] = keys[1:] == keys[:-1]
         if rep.any():
-            owner = np.repeat(np.arange(self.m), sizes)
-            sizes = sizes - np.bincount(owner[rep], minlength=self.m).astype(
-                np.int32)
+            # a set's size is now the count of kept entries from its start
+            # to the next set's
+            sizes = np.add.reduceat(~rep, np.cumsum(sizes) - sizes,
+                                    dtype=np.int32)
             elems = elems[~rep]
-        self.elems = elems
-        self.sizes = sizes
+        self.elems, self.sizes = elems, sizes
         self.offsets = np.zeros(self.m + 1, dtype=np.int64)
         np.cumsum(sizes, out=self.offsets[1:])
         self.total_size = int(self.offsets[-1])
 
-    @classmethod
-    def _flat(cls, tokens, elems, sizes):
-        f = cls.__new__(cls)
-        f._store(tokens, elems, sizes)
-        return f
-
     @cached_property
     def sets(self):
         return segments(self.elems.tolist(), self.offsets)
-
-    @classmethod
-    def from_elements(cls, sets, extra_universe=()):
-        """Build a family from iterables of arbitrary hashable labels.
-
-        Labels are interned in first-appearance order and a label repeated
-        within a set is dropped; extra_universe declares elements that may
-        appear in no set.
-        """
-        index = defaultdict()
-        index.default_factory = index.__len__
-        elems, sizes = _flatten(sets, index.__getitem__)
-        _flatten([extra_universe], index.__getitem__)
-        return cls._flat([str(label) for label in index], elems, sizes)
 
     def as_frozensets(self):
         return [frozenset(s) for s in self.sets]
@@ -471,8 +435,8 @@ def parse_family(source):
     if skipped:
         ids = ids[owner == 0]
     del owner
-    return SetFamily._flat(list(map(tokens.__getitem__, by_first.tolist())),
-                           ids, sizes)
+    return SetFamily(list(map(tokens.__getitem__, by_first.tolist())), ids,
+                     sizes)
 
 
 def lf_order(f):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from overlap.family import SetFamily
+from overlap.family import parse_family
 
 
 FAM_A_TEXT = "1 2\n2 3\n3 4\n1 2 3 4\n"
@@ -11,12 +11,22 @@ FAM_A_TEXT = "1 2\n2 3\n3 4\n1 2 3 4\n"
 
 @pytest.fixture
 def fam_a():
-    from overlap.family import parse_family
     return parse_family(FAM_A_TEXT)
 
 
 def make_family(*sets, universe=()):
-    return SetFamily.from_elements(sets, extra_universe=universe)
+    """The family of the sets of labels, through the text format.
+
+    Labels are written with str and numbered in order of first
+    appearance, a repeat within a set is dropped, and universe names
+    elements that may appear in no set; its !universe line comes last so
+    that it numbers only the labels no set has.
+    """
+    lines = [" ".join(map(str, s)) + "\n" for s in sets]
+    universe = " ".join(map(str, universe))
+    if universe:
+        lines.append("!universe %s\n" % universe)
+    return parse_family("".join(lines))
 
 
 def random_family(rng, max_n=40, max_m=60):
@@ -28,7 +38,7 @@ def random_family(rng, max_n=40, max_m=60):
     for _ in range(m):
         size = rng.randint(1, cap)
         sets.append(rng.sample(range(n), size))
-    return SetFamily.from_elements(sets, extra_universe=range(n))
+    return make_family(*sets, universe=range(n))
 
 
 def exhaustive_families(max_n=4, max_m=3):
@@ -39,7 +49,7 @@ def exhaustive_families(max_n=4, max_m=3):
             subsets.extend(itertools.combinations(range(n), size))
         for m in range(1, max_m + 1):
             for combo in itertools.combinations(subsets, m):
-                yield SetFamily.from_elements(combo, extra_universe=range(n))
+                yield make_family(*combo, universe=range(n))
 
 
 def seeded_rng(seed=20260826):

@@ -12,7 +12,8 @@ import pytest
 
 import overlap.cli as cli
 from overlap.family import parse_family
-from overlap.generate import gen_blocks, gen_nested, gen_random, gen_star
+from overlap.generate import (gen_blocks, gen_nested, gen_random,
+                              gen_random_sets, gen_star)
 from overlap.pipeline import run_pipeline
 
 from conftest import FAM_A_TEXT, random_family, seeded_rng
@@ -218,6 +219,24 @@ class TestBench:
         # first row has no ratio, second does
         assert lines[1].endswith(",")
         assert float(lines[2].rsplit(",", 1)[1]) > 0
+
+    def test_family_is_the_generators(self, monkeypatch):
+        families = []
+
+        def pipeline(f):
+            families.append(f)
+            return run_pipeline(f)
+
+        monkeypatch.setattr(cli, "run_pipeline", pipeline)
+        monkeypatch.setattr(cli, "BENCH_SECONDS", 0.0)
+        row = cli.bench_one(1000, seed=3)
+        m, n = 125, 62  # target // 8 sets over half as many elements
+        want = list(gen_random_sets(n, m, 3, min_size=2, max_size=14))
+        assert len(families) == 2
+        for f in families:
+            assert f.sets == want
+            assert f.tokens == ["e%d" % i for i in range(n)]
+        assert row["total_size"] == sum(map(len, want))
 
 
 @pytest.mark.parametrize("case", ["oracle_cap", "bench_sizes",

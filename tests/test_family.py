@@ -15,6 +15,12 @@ from overlap.pipeline import run_pipeline
 from conftest import FAM_A_TEXT, make_family, random_family, seeded_rng
 
 
+def flat(*sets, dtype=np.int32):
+    """The elems and sizes arrays of the index lists sets."""
+    return (np.array([e for s in sets for e in s], dtype=dtype),
+            np.array([len(s) for s in sets], dtype=np.int32))
+
+
 class TestParse:
 
     def test_basic(self):
@@ -75,21 +81,45 @@ class TestParse:
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError, match="family has no sets"):
-            SetFamily.from_elements([])
+            SetFamily([], *flat())
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty set in family"):
-            SetFamily(["a", "b"], [[0, 1], []])
+            SetFamily(["a", "b"], *flat([0, 1], []))
 
-    def test_duplicate_element_rejected(self):
-        with pytest.raises(ValueError, match="duplicate element within a set"):
-            SetFamily(["a", "b"], [[0], [1, 0, 1]])
+    # the last three add up to len(elems), but hold a negative size
+    @pytest.mark.parametrize("sizes", [[2, 2], [1, 1], [6], [6, -1],
+                                       [2, 4, -1], [-5, 10]])
+    def test_sizes_must_split_elems(self, sizes):
+        elems = np.array([0, 1, 1, 0, 1], dtype=np.int32)
+        with pytest.raises(ValueError,
+                           match="set sizes do not split the 5 elements"):
+            SetFamily(["a", "b"], elems, np.array(sizes, dtype=np.int32))
 
     @pytest.mark.parametrize("bad", [2, -1])
     def test_element_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError, match="element index %d out of range"
                            % bad):
-            SetFamily(["a", "b"], [[0, 1], [bad]])
+            SetFamily(["a", "b"], *flat([0, 1], [bad]))
+
+    def test_wide_index_rejected_before_the_int32_cast(self):
+        # 2**32 is 0 once cast to int32; it must not come back as element 0
+        with pytest.raises(ValueError, match="element index %d out of range"
+                           % 2**32):
+            SetFamily(["a", "b"], *flat([0, 1], [2**32], dtype=np.int64))
+
+    def test_int64_arrays_stored_as_int32(self):
+        f = SetFamily(["a", "b"], *flat([0, 1], [1], dtype=np.int64))
+        assert f.elems.dtype == np.int32 and f.sizes.dtype == np.int32
+        assert f.sets == [[0, 1], [1]]
+
+    def test_repeated_element_dropped_at_its_first_place(self):
+        f = SetFamily(["a", "b", "c"], *flat([0], [1, 0, 1, 2, 0], [2, 2]))
+        assert f.sets == [[0], [1, 0, 2], [2]]
+        assert f.sizes.tolist() == [1, 3, 1]
+        assert f.offsets.tolist() == [0, 1, 4, 5]
+        assert f.total_size == 5
+        assert f.elems.tolist() == [0, 1, 0, 2, 2]
 
     def test_file_object(self, tmp_path):
         path = tmp_path / "fam.txt"
@@ -160,7 +190,7 @@ def test_sl_invariants_random(seed):
 def test_orders_deterministic():
     rng = seeded_rng(7)
     f = random_family(rng)
-    g = type(f)(f.tokens, f.sets)
+    g = SetFamily(f.tokens, *flat(*f.sets))
     lf1, lf2 = lf_order(f), lf_order(g)
     assert lf1.order.tolist() == lf2.order.tolist()
     assert build_sl_lists(f, lf1).lists == build_sl_lists(g, lf2).lists
@@ -191,7 +221,7 @@ def reference_parse(text):
     sets = intern_rows(rows(), index)
     if not sets:
         raise FamilyFormatError("no sets in input")
-    return SetFamily(list(index), sets)
+    return SetFamily(list(index), *flat(*sets))
 
 
 def random_family_text(rng):
