@@ -22,11 +22,10 @@ def make_family(*sets, universe=()):
     elements that may appear in no set; its !universe line comes last so
     that it numbers only the labels no set has.
     """
-    lines = [" ".join(map(str, s)) + "\n" for s in sets]
-    universe = " ".join(map(str, universe))
+    lines = [" ".join(map(str, s)) for s in sets]
     if universe:
-        lines.append("!universe %s\n" % universe)
-    return parse_family("".join(lines))
+        lines.append(" ".join(map(str, ["!universe", *universe])))
+    return parse_family("\n".join(lines) + "\n")
 
 
 def random_family(rng, max_n=40, max_m=60):

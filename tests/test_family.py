@@ -18,7 +18,7 @@ from conftest import FAM_A_TEXT, make_family, random_family, seeded_rng
 def flat(*sets, dtype=np.int32):
     """The elems and sizes arrays of the index lists sets."""
     return (np.array([e for s in sets for e in s], dtype=dtype),
-            np.array([len(s) for s in sets], dtype=np.int32))
+            np.array([len(s) for s in sets], dtype=dtype))
 
 
 class TestParse:
