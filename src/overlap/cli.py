@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: classes, max, subgraph, forest, verify, gen, bench.
-Exit codes: 0 ok, 1 verify mismatch, 2 input error, 3 oracle cap exceeded.
+Exit codes: 0 ok, 1 verify mismatch, 2 input error, 3 oracle cap exceeded,
+4 out of memory.
 """
 
 import argparse
@@ -18,12 +19,12 @@ from .family import FamilyFormatError, SetFamily, parse_family
 from .generate import (gen_blocks, gen_nested, gen_random_lines,
                        gen_random_sets, gen_star)
 from .oracle import OracleCapExceeded, max_oracle, overlap_graph_full, overlaps
-from .pipeline import run_pipeline
+from .pipeline import LAYERS, run_pipeline
 
 __all__ = ["main", "entry", "bench_rows", "render", "verify_result"]
 
-# the timed columns of a bench row: run_pipeline's stage times and total
-BENCH_STAGES = ("orders", "maxcomp", "dgraph", "subgraph", "forest", "total")
+# the timed columns of a bench row: run_pipeline's layer times and total
+BENCH_STAGES = LAYERS + ("total",)
 BENCH_HEADER = ",".join(("total_size",) + BENCH_STAGES + ("ratio",))
 BENCH_SECONDS = 2.0
 RENDER_PLACES = 1 << 15
@@ -301,8 +302,9 @@ def bench_one(target, seed):
     and the mean time per run is kept: on a shared host the core's speed
     swings from one fraction of a second to the next, so the fastest of a
     few runs mostly measures the luckiest spell, and how lucky differs
-    from one instance to the next. Returns the mean per-stage wall times
-    plus the instance's exact total size.
+    from one instance to the next. Returns the mean of each entry of
+    run_pipeline's times (every layer and the total) plus the instance's
+    exact total size.
     """
     m = max(1, target // 8)
     n = max(4, m // 2)
@@ -327,27 +329,24 @@ def bench_one(target, seed):
     return mean
 
 
-def bench_rows(sizes, seed, isolate=False):
+def bench_rows(sizes, seed):
     """Run the pipeline on random instances of the requested |F| targets.
 
-    Returns one row per instance with the per-stage wall times and the
-    ratio of consecutive total times (empty for the first row). With
-    isolate=True each instance runs in a fresh interpreter so no
-    allocator or cache state leaks from one measurement into the next.
+    Returns one row per instance with bench_one's times and the ratio of
+    consecutive total times (empty for the first row). Each instance
+    runs in a fresh interpreter, so no allocator or cache state leaks
+    from one measurement into the next.
     """
+    script = ("import json, sys; from overlap.cli import bench_one; "
+              "json.dump(bench_one(int(sys.argv[1]), int(sys.argv[2])),"
+              " sys.stdout)")
     rows = []
     prev_total = None
     for target in sizes:
-        if isolate:
-            script = ("import json, sys; from overlap.cli import bench_one; "
-                      "json.dump(bench_one(int(sys.argv[1]), int(sys.argv[2])),"
-                      " sys.stdout)")
-            proc = subprocess.run(
-                [sys.executable, "-c", script, str(target), str(seed)],
-                capture_output=True, text=True, check=True)
-            t = json.loads(proc.stdout)
-        else:
-            t = bench_one(target, seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(target), str(seed)],
+            capture_output=True, text=True, check=True)
+        t = json.loads(proc.stdout)
         t["ratio"] = "%.3f" % (t["total"] / prev_total) if prev_total else ""
         prev_total = t["total"]
         rows.append(t)
@@ -361,7 +360,7 @@ def cmd_bench(args, out):
         _input_error(exc)
     if min(sizes, default=0) < 1:
         _input_error("--sizes needs positive targets: %r" % args.sizes)
-    rows = bench_rows(sizes, args.seed, isolate=True)
+    rows = bench_rows(sizes, args.seed)
     row = "%%(total_size)d,%s,%%(ratio)s\n" % ",".join(
         "%%(%s).6f" % k for k in BENCH_STAGES)
     out.write(BENCH_HEADER + "\n")
@@ -406,7 +405,7 @@ def build_parser():
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", help="per-stage wall times over growing instances")
+    p = sub.add_parser("bench", help="per-layer wall times over growing instances")
     p.add_argument("--sizes",
                    default="131072,262144,524288,1048576,2097152,4194304",
                    help="comma-separated |F| targets")
@@ -421,6 +420,9 @@ def main(argv=None, out=None):
         return args.func(args, out if out is not None else sys.stdout)
     except SystemExit as exc:
         return exc.code
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
 
 
 def entry():

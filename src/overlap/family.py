@@ -107,7 +107,8 @@ class SetFamily:
 
     A family is built from the text format by parse_family, or from the
     flat form by SetFamily(tokens, elems, sizes), elems and sizes being
-    integer arrays: set i is the next sizes[i] entries of elems, each an
+    integer arrays or lists of ints (a float or bool dtype is refused,
+    not truncated): set i is the next sizes[i] entries of elems, each an
     index into tokens. The sizes must be positive and add up to
     len(elems). An element repeated within its set is dropped, and its
     first place kept.
@@ -116,9 +117,13 @@ class SetFamily:
     def __init__(self, tokens, elems, sizes):
         self.tokens = list(tokens)
         self.n = len(self.tokens)
+        elems, sizes = np.asarray(elems), np.asarray(sizes)
         self.m = len(sizes)
         if not self.m:
             raise ValueError("family has no sets")
+        if elems.dtype.kind not in "iu" or sizes.dtype.kind not in "iu":
+            raise ValueError("integer elems and sizes needed, got %s and %s"
+                             % (elems.dtype, sizes.dtype))
         if not sizes.all():
             raise ValueError("empty set in family")
         if (sizes < 0).any() or sizes.sum(dtype=np.int64) != len(elems):

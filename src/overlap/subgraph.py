@@ -68,14 +68,21 @@ def _resolve(pf, sl, bounds, maxes, qx, qy):
     return np.minimum(a, qy), np.maximum(a, qy)
 
 
-def build_overlap_subgraph(f, sl, maxes, bounds, pf):
+def build_overlap_subgraph(f, sl, maxes, bounds, pf, lap):
+    """The true subgraph, built in three parts; lap(name) is called after
+    each: "covers" (the base edges and quintuples), "resolve" (the
+    membership tests) and "dedup" (the edges' sort and deduplication)."""
     ea, eb, qx, qy = _collect(f, sl, maxes)
     if len(qx) > f.total_size:
         raise AssertionError(
             "created %d quintuples for |F| = %d" % (len(qx), f.total_size))
+    lap("covers")
     ra, rb = _resolve(pf, sl, bounds, maxes, qx, qy)
+    lap("resolve")
     a, b = dedup_sorted_pairs(np.concatenate((ea, ra)),
                               np.concatenate((eb, rb)), f.m)
     if len(a) > f.m + f.total_size:
         raise AssertionError("subgraph exceeds the m + |F| edge bound")
-    return SetGraph(f.m, a, b, len(ea) + len(ra))
+    sub = SetGraph(f.m, a, b, len(ea) + len(ra))
+    lap("dedup")
+    return sub

@@ -178,7 +178,7 @@ def test_8_linear_scaling(verdict):
     ok = False
     try:
         t0 = time.perf_counter()
-        rows = bench_rows(BENCH_SIZES, seed=1, isolate=True)
+        rows = bench_rows(BENCH_SIZES, seed=1)
         elapsed = time.perf_counter() - t0
         sizes = [r["total_size"] for r in rows]
         assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes)

@@ -210,11 +210,11 @@ class TestBench:
         assert len(lines) == 3
         sizes = [int(line.split(",")[0]) for line in lines[1:]]
         assert sizes == sorted(sizes)
-        # total_size, the six stage times, then the ratio
+        # total_size, each layer's time and the total, then the ratio
         for line in lines[1:]:
             fields = line.split(",")
-            assert len(fields) == 8
-            for field in fields[1:7]:
+            assert len(fields) == len(cli.BENCH_STAGES) + 2
+            for field in fields[1:-1]:
                 assert re.fullmatch(r"\d+\.\d{6}", field)
         # first row has no ratio, second does
         assert lines[1].endswith(",")
@@ -293,6 +293,19 @@ def test_json_byte_identical_across_processes(fam_a_file):
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+def test_out_of_memory_exits_4_without_traceback(fam_a_file):
+    script = ("import overlap.cli as cli\n"
+              "def run_pipeline(f):\n"
+              "    raise MemoryError\n"
+              "cli.run_pipeline = run_pipeline\n"
+              "cli.entry()\n")
+    proc = subprocess.run([sys.executable, "-c", script, "classes",
+                           fam_a_file], capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")

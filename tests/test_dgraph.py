@@ -131,7 +131,7 @@ def test_maxless_family_builds_no_window_table(monkeypatch):
     monkeypatch.setattr(overlap.dgraph, "window_levels", refuse)
     for f, sl, maxes, bounds, pf, res in runs:
         assert res.dgraph.edges == [] and res.dgraph.raw_edge_count == 0
-        sub = build_overlap_subgraph(f, sl, maxes, bounds, pf)
+        sub = build_overlap_subgraph(f, sl, maxes, bounds, pf, lambda _: None)
         assert sub.edges == [] and sub.raw_edge_count == 0
 
 

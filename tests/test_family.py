@@ -113,6 +113,26 @@ class TestParse:
         assert f.elems.dtype == np.int32 and f.sizes.dtype == np.int32
         assert f.sets == [[0, 1], [1]]
 
+    # cast to int32, a float array [0.5, 1.7] would be the set [0, 1]
+    # and a bool array [True, False] the set [1, 0]
+    @pytest.mark.parametrize("elems, sizes", [
+        (np.array([0.5, 1.7]), np.array([2])),
+        (np.array([0, 1]), np.array([2.0])),
+        (np.array([True, False]), np.array([2])),
+    ], ids=["float_elems", "float_sizes", "bool_elems"])
+    def test_non_integer_arrays_rejected(self, elems, sizes):
+        with pytest.raises(ValueError, match="integer elems and sizes"):
+            SetFamily(["a", "b"], elems, sizes)
+
+    def test_integer_lists_build_the_arrays_family(self):
+        want = SetFamily(["a", "b", "c"], *flat([0, 2], [1, 1, 2]))
+        f = SetFamily(["a", "b", "c"], [0, 2, 1, 1, 2], [2, 3])
+        for name in ("elems", "sizes", "offsets"):
+            got, exp = getattr(f, name), getattr(want, name)
+            assert got.dtype == exp.dtype
+            assert got.tolist() == exp.tolist()
+        assert f.sets == [[0, 2], [1, 2]]
+
     def test_repeated_element_dropped_at_its_first_place(self):
         f = SetFamily(["a", "b", "c"], *flat([0], [1, 0, 1, 2, 0], [2, 2]))
         assert f.sets == [[0], [1, 0, 2], [2]]

@@ -112,7 +112,8 @@ class TestSubgraph:
 
     def test_fam_a_edges(self, fam_a):
         lf, sl, pf, bounds, maxes = stages(fam_a)
-        g = build_overlap_subgraph(fam_a, sl, maxes, bounds, pf)
+        g = build_overlap_subgraph(fam_a, sl, maxes, bounds, pf,
+                                   lambda _: None)
         assert g.edges == [(0, 1), (1, 2)]
 
     def test_every_edge_overlaps_random(self):

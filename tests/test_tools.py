@@ -1,8 +1,11 @@
+import ast
 import importlib.util
 import re
 from pathlib import Path
 
 import pytest
+
+from overlap.pipeline import LAYERS
 
 from conftest import FAM_A_TEXT
 
@@ -106,9 +109,18 @@ def test_layer_times_prints_one_table_row(tmp_path, capsys):
     assert layer_times.main([str(path), "--repeats", "2"]) == 0
     header, row = [[cell.strip() for cell in line.split("|")[1:-1]]
                    for line in capsys.readouterr().out.splitlines()]
-    assert header == ["parse", "orders", "pass 1", "bounds", "pass 3",
-                      "covers", "resolve", "dedup", "forest", "JSON out"]
+    assert header == ["parse", *LAYERS, "JSON out"]
     values = [float(cell) for cell in row]
     assert len(values) == len(header) and min(values) >= 0
     with pytest.raises(SystemExit):
         layer_times.main([str(path), "--repeats", "0"])
+
+
+def test_layer_times_reads_the_pipeline_record():
+    # the layers come from run_pipeline's times, not from a copy of its
+    # calls into the modules that implement them
+    tree = ast.parse((TOOLS / "layer_times.py").read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    assert {m for m in modules if m.startswith("overlap")} == {
+        "overlap.cli", "overlap.family", "overlap.pipeline"}
