@@ -14,7 +14,7 @@ import overlap.cli as cli
 from overlap.family import parse_family
 from overlap.generate import (gen_blocks, gen_nested, gen_random,
                               gen_random_sets, gen_star)
-from overlap.pipeline import run_pipeline
+from overlap.pipeline import LAYERS, run_pipeline
 
 from conftest import FAM_A_TEXT, random_family, seeded_rng
 
@@ -207,6 +207,8 @@ class TestBench:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == cli.BENCH_HEADER
+        assert lines[0].split(",") == ["total_size", *LAYERS, "total",
+                                       "ratio"]
         assert len(lines) == 3
         sizes = [int(line.split(",")[0]) for line in lines[1:]]
         assert sizes == sorted(sizes)

@@ -122,5 +122,6 @@ def test_layer_times_reads_the_pipeline_record():
     tree = ast.parse((TOOLS / "layer_times.py").read_text(encoding="utf-8"))
     modules = {node.module for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)}
-    assert {m for m in modules if m.startswith("overlap")} == {
-        "overlap.cli", "overlap.family", "overlap.pipeline"}
+    assert "overlap.pipeline" in modules
+    assert not modules & {"overlap.subgraph", "overlap.dgraph",
+                          "overlap.maxcomp"}
