@@ -7,9 +7,8 @@ linear-size subgraph of the overlap graph with identical components and
 a spanning forest of the classes.
 """
 
-from .dgraph import (ComponentLabeling, SetGraph, SpanningForest, UnionFind,
-                     build_dgraph, covers, dedup_sorted_pairs, spanning_edges,
-                     spanning_forest)
+from .dgraph import (SetGraph, SpanningForest, UnionFind, build_dgraph, covers,
+                     dedup_sorted_pairs, spanning_edges, spanning_forest)
 from .family import (FamilyFormatError, LFOrder, SetFamily, SLLists,
                      build_sl_lists, lf_order, parse_family)
 from .generate import (gen_blocks, gen_nested, gen_random, gen_random_sets,

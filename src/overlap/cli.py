@@ -34,10 +34,11 @@ def _label(i):
     return "X%d" % (i + 1)
 
 
-def _input_error(exc):
-    """Report a bad input or setting and exit 2."""
+def _fail(exc, code):
+    """Report the error exc on stderr and exit with code (2 for a bad
+    input or setting)."""
     print("error: %s" % exc, file=sys.stderr)
-    raise SystemExit(2)
+    raise SystemExit(code)
 
 
 def _load(path):
@@ -45,7 +46,7 @@ def _load(path):
         with open(path, "rb") as fh:
             return parse_family(fh.read())
     except (OSError, UnicodeDecodeError, FamilyFormatError) as exc:
-        _input_error(exc)
+        _fail(exc, 2)
 
 
 def render(templates, code, *cols):
@@ -256,10 +257,9 @@ def cmd_verify(args, out):
     try:
         full = overlap_graph_full(f)
     except OracleCapExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+        _fail(exc, 3)
     except ValueError as exc:  # OVERLAP_ORACLE_CAP is not an integer
-        _input_error(exc)
+        _fail(exc, 2)
     res = run_pipeline(f)
     ok, lines = verify_result(res, full, max_oracle(f, res.lf))
     for line in lines:
@@ -281,13 +281,13 @@ def cmd_gen(args, out):
         else:
             chunks = [gen_blocks(args.n, args.m, args.blocks, args.seed)]
     except ValueError as exc:
-        _input_error(exc)
+        _fail(exc, 2)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
         except OSError as exc:
-            _input_error(exc)
+            _fail(exc, 2)
     else:
         out.writelines(chunks)
     return 0
@@ -335,17 +335,21 @@ def bench_rows(sizes, seed):
     Returns one row per instance with bench_one's times and the ratio of
     consecutive total times (empty for the first row). Each instance
     runs in a fresh interpreter, so no allocator or cache state leaks
-    from one measurement into the next.
+    from one measurement into the next. A child that fails raises
+    subprocess.CalledProcessError with its stderr; one out of memory
+    exits 4.
     """
-    script = ("import json, sys; from overlap.cli import bench_one; "
-              "json.dump(bench_one(int(sys.argv[1]), int(sys.argv[2])),"
-              " sys.stdout)")
+    script = ("import json, sys; from overlap.cli import bench_one as run\n"
+              "try: json.dump(run(*map(int, sys.argv[1:])), sys.stdout)\n"
+              "except MemoryError:\n"
+              "    sys.stderr.write('out of memory\\n'); sys.exit(4)")
     rows = []
     prev_total = None
     for target in sizes:
         proc = subprocess.run(
             [sys.executable, "-c", script, str(target), str(seed)],
-            capture_output=True, text=True, check=True)
+            capture_output=True, text=True)
+        proc.check_returncode()
         t = json.loads(proc.stdout)
         t["ratio"] = "%.3f" % (t["total"] / prev_total) if prev_total else ""
         prev_total = t["total"]
@@ -357,10 +361,16 @@ def cmd_bench(args, out):
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError as exc:
-        _input_error(exc)
+        _fail(exc, 2)
     if min(sizes, default=0) < 1:
-        _input_error("--sizes needs positive targets: %r" % args.sizes)
-    rows = bench_rows(sizes, args.seed)
+        _fail("--sizes needs positive targets: %r" % args.sizes, 2)
+    try:
+        rows = bench_rows(sizes, args.seed)
+    except subprocess.CalledProcessError as exc:
+        # the child's last stderr line: its error or the end of its
+        # traceback; a child killed by a signal exits negative, silent
+        last = exc.stderr.strip() or "exit status %d" % exc.returncode
+        _fail(last.splitlines()[-1], max(exc.returncode, 1))
     row = "%%(total_size)d,%s,%%(ratio)s\n" % ",".join(
         "%%(%s).6f" % k for k in BENCH_STAGES)
     out.write(BENCH_HEADER + "\n")

@@ -16,10 +16,11 @@ NOT a subgraph of the overlap graph, so its edges mean nothing pairwise.
 The true subgraph (subgraph.py) turns each cover into an overlap edge.
 
 Both graphs are SetGraphs. This module also holds the one
-spanning-forest routine (spanning_edges, spanning_forest) and the one
-grouping of sets into classes (ComponentLabeling), which the oracle uses
-too. ComponentLabeling and SpanningForest order the sets and the tree
-edges by class with family.sort_order.
+spanning-forest routine (spanning_edges, spanning_forest) and the
+pipeline's one grouping of sets into classes, SpanningForest, which
+orders the sets and the tree edges by class with family.sort_order. The
+oracle groups its classes on its own and shares only UnionFind, which
+the pipeline does not run.
 """
 
 from functools import cached_property
@@ -29,9 +30,8 @@ import numpy as np
 from .family import segments, sort_order
 from .maxcomp import window_levels
 
-__all__ = ["UnionFind", "SetGraph", "ComponentLabeling", "SpanningForest",
-           "build_dgraph", "covers", "dedup_sorted_pairs", "spanning_edges",
-           "spanning_forest"]
+__all__ = ["UnionFind", "SetGraph", "SpanningForest", "build_dgraph", "covers",
+           "dedup_sorted_pairs", "spanning_edges", "spanning_forest"]
 
 
 def _pairs(a, b):
@@ -156,18 +156,22 @@ class SetGraph:
         return _pairs(self.a, self.b)
 
 
-class ComponentLabeling:
-    """Classes of a graph over the m sets; ids dense, ordered by smallest member.
+class SpanningForest:
+    """The classes of a graph over the m sets, with one spanning tree each.
 
     Built from root, where root[i] is any representative of set i's
-    component. class_id[i] is the class of set i; order lists the sets by
-    class and, within a class, by index, class k being
-    order[start[k]:start[k + 1]]. All three are int32 arrays; classes
-    gives the same as lists, built on first access.
+    component, and the tree edges a, b. Class ids are dense and ordered
+    by smallest member. class_id[i] is the class of set i; order lists
+    the sets by class and, within a class, by index, class k being
+    order[start[k]:start[k + 1]]. Class k's tree edges are (a[j], b[j])
+    for j in edge_start[k] .. edge_start[k + 1] - 1, in the graph's
+    sorted order. All are int32 arrays. As lists: classes[k] (also
+    members[k]) holds the sets of class k, roots[k] its smallest set and
+    tree_edges[k] its |class| - 1 edges; classes and tree_edges are built
+    on first access.
     """
 
-    def __init__(self, root):
-        root = np.asarray(root, dtype=np.int32)
+    def __init__(self, root, a, b):
         m = len(root)
         ids = np.arange(m, dtype=np.int32)
         smallest = np.full(m, m, dtype=np.int32)
@@ -179,6 +183,13 @@ class ComponentLabeling:
         sizes = np.bincount(self.class_id)
         self.start = np.zeros(len(sizes) + 1, dtype=np.int32)
         np.cumsum(sizes, out=self.start[1:])
+        tree = self.class_id[a]
+        by_class = sort_order(tree)[0]
+        self.a = a[by_class]
+        self.b = b[by_class]
+        self.edge_start = np.zeros_like(self.start)
+        np.cumsum(np.bincount(tree, minlength=len(sizes)),
+                  out=self.edge_start[1:])
 
     @cached_property
     def classes(self):
@@ -187,27 +198,6 @@ class ComponentLabeling:
     def as_partition(self):
         """Classes as a set of frozensets, for order-insensitive comparison."""
         return {frozenset(c) for c in self.classes}
-
-
-class SpanningForest(ComponentLabeling):
-    """The classes of a graph as a labeling, plus one spanning tree per class.
-
-    Class k's tree edges are (a[j], b[j]) for j in edge_start[k] ..
-    edge_start[k + 1] - 1, in the graph's sorted order. As lists:
-    roots[k] is the smallest set of class k, members[k] (the same list as
-    classes[k]) its sets and tree_edges[k] its |class| - 1 edges; these
-    are built on first access.
-    """
-
-    def __init__(self, root, a, b):
-        super().__init__(root)
-        tree = self.class_id[a]
-        by_class = sort_order(tree)[0]
-        self.a = a[by_class]
-        self.b = b[by_class]
-        self.edge_start = np.zeros_like(self.start)
-        np.cumsum(np.bincount(tree, minlength=len(self.start) - 1),
-                  out=self.edge_start[1:])
 
     @property
     def roots(self):

@@ -183,24 +183,17 @@ class SLLists:
     a subsequence of the reversed LF order. The lists are stored end to
     end: list v is flat[offsets[v]:offsets[v + 1]]. keys holds the same
     (element, set) incidences as sorted int64 keys, which answers batched
-    membership queries (see contains); lists made without keys answer
-    none.
+    membership queries (see contains); revrank[i], m - 1 minus the LF
+    rank of set i, is the set's part of its keys.
     """
 
     __slots__ = ("flat", "offsets", "keys", "_revrank")
 
-    def __init__(self, flat, offsets, keys=None, revrank=None):
+    def __init__(self, flat, offsets, keys, revrank):
         self.flat = flat
         self.offsets = offsets
         self.keys = keys
         self._revrank = revrank
-
-    @property
-    def lists(self):
-        return segments(self.flat.tolist(), self.offsets)
-
-    def __getitem__(self, v):
-        return self.flat[self.offsets[v]:self.offsets[v + 1]].tolist()
 
     def contains(self, elems, sets):
         """Per query i, whether set sets[i] contains element elems[i].

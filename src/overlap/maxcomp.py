@@ -87,10 +87,6 @@ class MaxAssignment:
     def values(self):
         return [None if v < 0 else v for v in self.partners.tolist()]
 
-    def __getitem__(self, i):
-        v = int(self.partners[i])
-        return None if v < 0 else v
-
     def __eq__(self, other):
         if isinstance(other, MaxAssignment):
             return np.array_equal(self.partners, other.partners)

@@ -3,11 +3,16 @@
 Shipped with the library (not test-only) so the CLI verify command can
 run them. A configurable cap on m keeps accidental quadratic blowups
 loud instead of slow.
+
+A checker should share no code with what it checks, so the oracle
+groups its classes itself (OracleLabeling, over its own union-find
+roots) and takes from the package only UnionFind, which the pipeline
+does not run, and MaxAssignment, the plain container both sides return.
 """
 
 import os
 
-from .dgraph import ComponentLabeling, UnionFind
+from .dgraph import UnionFind
 from .maxcomp import MaxAssignment
 
 __all__ = [
@@ -46,8 +51,23 @@ def overlaps(a, b):
     return (not sa.isdisjoint(sb)) and bool(sa - sb) and bool(sb - sa)
 
 
+class OracleLabeling:
+    """The classes of root, where root[i] is a representative of set i's
+    class: each a sorted list of sets, ordered by smallest member."""
+
+    def __init__(self, root):
+        groups = {}
+        for i, r in enumerate(root):
+            groups.setdefault(r, []).append(i)
+        self.classes = list(groups.values())
+
+    def as_partition(self):
+        """Classes as a set of frozensets, for order-insensitive comparison."""
+        return {frozenset(c) for c in self.classes}
+
+
 class OverlapGraphFull:
-    """Every overlapping pair, plus the resulting component labeling."""
+    """Every overlapping pair, plus the resulting OracleLabeling."""
 
     __slots__ = ("edges", "labeling")
 
@@ -72,7 +92,7 @@ def overlap_graph_full(f):
                 edges.append((i, j))
                 uf.union(i, j)
     return OverlapGraphFull(
-        edges, ComponentLabeling([uf.find(i) for i in range(f.m)]))
+        edges, OracleLabeling([uf.find(i) for i in range(f.m)]))
 
 
 def max_oracle(f, lf):

@@ -97,21 +97,3 @@ class OrderedPartition:
         """Parts left to right, each as the list of its elements."""
         return [self.table[lo:hi + 1]
                 for lo, hi in sorted(zip(self.part_lo, self.part_hi))]
-
-    def part_bounds(self, pid):
-        return self.part_lo[pid], self.part_hi[pid]
-
-    def check_valid(self):
-        """Debug validator for the structural invariants; O(n + #parts)."""
-        n = self.n
-        assert sorted(self.table) == list(range(n))
-        for e in range(n):
-            assert self.table[self.position[e]] == e
-        slot = 0  # the parts are non-empty intervals that tile the table
-        for lo, hi in sorted(zip(self.part_lo, self.part_hi)):
-            assert lo == slot <= hi
-            slot = hi + 1
-        assert slot == n
-        for pid, (lo, hi) in enumerate(zip(self.part_lo, self.part_hi)):
-            for e in self.table[lo:hi + 1]:
-                assert self.part_of[e] == pid

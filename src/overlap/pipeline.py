@@ -5,7 +5,7 @@ import time
 from functools import cached_property
 
 from .dgraph import build_dgraph, spanning_forest
-from .family import SLLists, build_sl_lists, lf_order
+from .family import build_sl_lists, lf_order
 from .maxcomp import compute_bounds, compute_max, compute_pf
 from .subgraph import build_overlap_subgraph
 
@@ -25,14 +25,13 @@ class PipelineResult:
     components as the overlap graph, and the forest labels them by
     smallest member. dgraph, the helper (Dahlhaus) graph with the same
     components (spanning_forest(res.dgraph) gives them), is not needed
-    for that and is built on first access from sl, the SL lists without
-    their membership keys.
+    for that. It is built on first access, from SL lists it builds
+    again, so the result keeps no |F|-sized lists or membership keys.
     """
 
-    def __init__(self, family, lf, sl, maxes, subgraph, forest, times):
+    def __init__(self, family, lf, maxes, subgraph, forest, times):
         self.family = family
         self.lf = lf
-        self.sl = sl
         self.maxes = maxes
         self.subgraph = subgraph
         self.labeling = self.forest = forest
@@ -40,7 +39,8 @@ class PipelineResult:
 
     @cached_property
     def dgraph(self):
-        return build_dgraph(self.family, self.sl, self.maxes)
+        return build_dgraph(self.family,
+                            build_sl_lists(self.family, self.lf), self.maxes)
 
     @property
     def n_classes(self):
@@ -80,5 +80,4 @@ def run_pipeline(f):
     lap("forest")
     times["total"] = last - start
 
-    return PipelineResult(f, lf, SLLists(sl.flat, sl.offsets), maxes, sub,
-                          forest, times)
+    return PipelineResult(f, lf, maxes, sub, forest, times)

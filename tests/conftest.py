@@ -1,9 +1,18 @@
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from overlap.family import parse_family
+
+# pyproject.toml puts src/ on the tests' own path; the interpreters they
+# start (python -m overlap, overlap bench's instances) find it through
+# PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(__file__).resolve().parent.parent / "src"),
+    os.environ.get("PYTHONPATH"))))
 
 
 FAM_A_TEXT = "1 2\n2 3\n3 4\n1 2 3 4\n"

@@ -222,6 +222,43 @@ class TestBench:
         assert lines[1].endswith(",")
         assert float(lines[2].rsplit(",", 1)[1]) > 0
 
+    @pytest.mark.parametrize("code, stderr, want_code, want_err", [
+        (4, "out of memory\n", 4, "error: out of memory\n"),
+        (1, "Traceback (most recent call last):\n  ...\nValueError: bad\n",
+         1, "error: ValueError: bad\n"),
+        (-9, "", 1, "error: exit status -9\n"),
+    ], ids=["out_of_memory", "traceback", "killed"])
+    def test_failed_instance_is_reported(self, monkeypatch, capsys, code,
+                                         stderr, want_code, want_err):
+        def run(cmd, **kwargs):
+            return subprocess.CompletedProcess(cmd, code, "", stderr)
+
+        monkeypatch.setattr(cli.subprocess, "run", run)
+        assert run_cli("bench", "--sizes", "1000", "--seed", "1") == (
+            want_code, "")
+        assert capsys.readouterr().err == want_err
+
+    def test_instance_out_of_memory_exits_4(self, monkeypatch):
+        # the script each instance runs, with bench_one out of memory
+        scripts = []
+        real_run = subprocess.run
+
+        def run(cmd, **kwargs):
+            scripts.append(cmd)
+            return subprocess.CompletedProcess(cmd, 4, "", "")
+
+        monkeypatch.setattr(cli.subprocess, "run", run)
+        run_cli("bench", "--sizes", "1000", "--seed", "1")
+        (python, flag, script, *args), = scripts
+        prelude = ("import overlap.cli\n"
+                   "def bench_one(target, seed):\n"
+                   "    raise MemoryError\n"
+                   "overlap.cli.bench_one = bench_one\n")
+        proc = real_run([python, flag, prelude + script, *args],
+                        capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, "", "out of memory\n")
+
     def test_family_is_the_generators(self, monkeypatch):
         families = []
 

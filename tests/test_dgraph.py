@@ -107,7 +107,8 @@ def test_dgraph_matches_running_max_scan_random():
     for k in range(600):
         f = random_family(rng, max_n=6 if k % 3 == 0 else 20, max_m=30)
         res = run_pipeline(f)
-        edges, raw = running_max_dgraph(f, res.sl, res.maxes)
+        edges, raw = running_max_dgraph(f, build_sl_lists(f, res.lf),
+                                        res.maxes)
         assert res.dgraph.edges == edges, f.sets
         assert res.dgraph.raw_edge_count == raw, f.sets
 
@@ -135,11 +136,14 @@ def test_maxless_family_builds_no_window_table(monkeypatch):
         assert sub.edges == [] and sub.raw_edge_count == 0
 
 
-def test_result_keeps_sl_lists_without_keys(fam_a):
-    # the membership keys (|F| int64) are not kept past the run; the
-    # helper graph needs only the lists
+def test_result_keeps_no_sl_lists(fam_a):
+    # neither the SL lists nor their membership keys (|F| int64) are kept
+    # past the run; the helper graph builds its own lists
     res = run_pipeline(fam_a)
-    assert res.sl.keys is None
+    assert not hasattr(res, "sl")
+    want = build_dgraph(fam_a, build_sl_lists(fam_a, res.lf), res.maxes)
+    assert (res.dgraph.edges, res.dgraph.raw_edge_count) == (
+        want.edges, want.raw_edge_count)
     assert res.dgraph.edges == dahlhaus(fam_a).edges == [(0, 1), (1, 2)]
 
 

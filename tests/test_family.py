@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlap.family import (UNICODE_SPACES, FamilyFormatError, SetFamily,
-                            build_sl_lists, lf_order, parse_family,
+                            build_sl_lists, lf_order, parse_family, segments,
                             sort_order)
 from overlap.generate import gen_nested
 from overlap.pipeline import run_pipeline
@@ -167,22 +167,25 @@ class TestLFOrder:
             assert lf.rank[i] == r
 
 
+def sl_lists(sl):
+    """The SL lists as Python lists, list v holding element v's sets."""
+    return segments(sl.flat.tolist(), sl.offsets)
+
+
 class TestSLLists:
 
     def test_fam_a_element_two(self, fam_a):
         sl = build_sl_lists(fam_a, lf_order(fam_a))
         two = fam_a.tokens.index("2")
-        assert sl[two] == [1, 0, 3]  # X2, X1, X4
+        assert sl_lists(sl)[two] == [1, 0, 3]  # X2, X1, X4
 
     def test_absent_and_single(self):
         f = make_family([0], universe=[0, 1])
-        sl = build_sl_lists(f, lf_order(f))
-        assert sl[1] == []
-        assert sl[0] == [0]
+        assert sl_lists(build_sl_lists(f, lf_order(f))) == [[0], []]
 
     def test_concat_length_equals_total_size(self, fam_a):
         sl = build_sl_lists(fam_a, lf_order(fam_a))
-        assert sum(len(lst) for lst in sl.lists) == fam_a.total_size
+        assert sum(map(len, sl_lists(sl))) == fam_a.total_size
 
 
 @settings(max_examples=80, deadline=None)
@@ -191,9 +194,9 @@ def test_sl_invariants_random(seed):
     f = random_family(seeded_rng(seed), max_n=15, max_m=15)
     lf = lf_order(f)
     sl = build_sl_lists(f, lf)
-    assert sum(len(lst) for lst in sl.lists) == f.total_size
-    for v in range(f.n):
-        lst = sl[v]
+    lists = sl_lists(sl)
+    assert sum(map(len, lists)) == f.total_size
+    for v, lst in enumerate(lists):
         for a, b in zip(lst, lst[1:]):
             assert f.sizes[a] <= f.sizes[b]
         # membership both ways
@@ -204,7 +207,7 @@ def test_sl_invariants_random(seed):
         assert ranks == sorted(ranks)
     for i, s in enumerate(f.sets):
         for v in s:
-            assert i in sl[v]
+            assert i in lists[v]
 
 
 def test_orders_deterministic():
@@ -213,7 +216,7 @@ def test_orders_deterministic():
     g = SetFamily(f.tokens, *flat(*f.sets))
     lf1, lf2 = lf_order(f), lf_order(g)
     assert lf1.order.tolist() == lf2.order.tolist()
-    assert build_sl_lists(f, lf1).lists == build_sl_lists(g, lf2).lists
+    assert sl_lists(build_sl_lists(f, lf1)) == sl_lists(build_sl_lists(g, lf2))
 
 
 def intern_rows(rows, index):

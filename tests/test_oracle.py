@@ -1,7 +1,10 @@
+import ast
 import types
 
 import pytest
 
+import overlap.dgraph
+import overlap.oracle
 from overlap.family import lf_order, parse_family
 from overlap.generate import gen_star
 from overlap.oracle import (DEFAULT_ORACLE_CAP, OracleCapExceeded,
@@ -104,3 +107,37 @@ def test_classes_invariant_under_set_permutation():
         # the fast path's tie-break freedom never changes the classes either
         assert named(f, run_pipeline(f).labeling) == \
             named(g, run_pipeline(g).labeling)
+
+
+def test_class_comparison_sees_a_corrupted_grouping(monkeypatch):
+    # the pipeline's grouping is broken so that it merges its first two
+    # classes; the oracle, grouping on its own, must still tell them apart
+    f = parse_family("a b\nb c\nx y\ny z\n")
+    segments = overlap.dgraph.segments
+
+    def merged(values, offsets):
+        pieces = segments(values, offsets)
+        return [pieces[0] + pieces[1]] + pieces[2:]
+
+    monkeypatch.setattr(overlap.dgraph, "segments", merged)
+    res = run_pipeline(f)
+    full = overlap_graph_full(f)
+    assert res.labeling.as_partition() == {frozenset({0, 1, 2, 3})}
+    assert full.labeling.as_partition() == {frozenset({0, 1}),
+                                            frozenset({2, 3})}
+    assert res.labeling.as_partition() != full.labeling.as_partition()
+
+
+def test_oracle_imports_only_union_find_and_max_assignment():
+    """The oracle shares no code with the pipeline it checks beyond the
+    union-find the pipeline does not run and the Max container."""
+    tree = ast.parse(open(overlap.oracle.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names
+                         if a.name.split(".")[0] == "overlap"}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "overlap"):
+            imported |= {a.name for a in node.names}
+    assert imported == {"UnionFind", "MaxAssignment"}

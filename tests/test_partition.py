@@ -9,6 +9,26 @@ def parts_as_sets(p):
     return [set(part) for part in p.parts_in_order()]
 
 
+def bounds(p, pid):
+    return p.part_lo[pid], p.part_hi[pid]
+
+
+def check_valid(p):
+    """The structural invariants of p; O(n + #parts)."""
+    n = p.n
+    assert sorted(p.table) == list(range(n))
+    for e in range(n):
+        assert p.table[p.position[e]] == e
+    slot = 0  # the parts are non-empty intervals that tile the table
+    for lo, hi in sorted(zip(p.part_lo, p.part_hi)):
+        assert lo == slot <= hi
+        slot = hi + 1
+    assert slot == n
+    for pid, (lo, hi) in enumerate(zip(p.part_lo, p.part_hi)):
+        for e in p.table[lo:hi + 1]:
+            assert p.part_of[e] == pid
+
+
 class TestInit:
 
     def test_single_part(self):
@@ -21,7 +41,7 @@ class TestInit:
 
     def test_bounds(self):
         p = OrderedPartition(12)
-        assert p.part_bounds(0) == (0, 11)
+        assert bounds(p, 0) == (0, 11)
 
     def test_empty_universe_rejected(self):
         with pytest.raises(ValueError):
@@ -54,8 +74,8 @@ class TestRefine:
         assert len(events) == 1
         ev = events[0]
         assert ev.boundary == 1
-        assert p.part_bounds(ev.new_part) == (2, 3)
-        assert p.part_bounds(ev.part) == (0, 1)
+        assert bounds(p, ev.new_part) == (2, 3)
+        assert bounds(p, ev.part) == (0, 1)
 
     def test_no_intersection_no_event(self):
         p = OrderedPartition(4)
@@ -73,7 +93,7 @@ class TestRefine:
         p = OrderedPartition(3)
         assert len(p.refine([1, 1])) == 1
         assert parts_as_sets(p) == [{0, 2}, {1}]
-        p.check_valid()
+        check_valid(p)
         p = OrderedPartition(2)
         assert len(p.refine([1, 1])) == 1
         assert parts_as_sets(p) == [{0}, {1}]
@@ -88,8 +108,8 @@ class TestRefine:
         # the shrunken part keeps its interval prefix, the new part the suffix
         p = OrderedPartition(5)
         (ev,) = p.refine([2, 4])
-        lo, hi = p.part_bounds(ev.part)
-        nlo, nhi = p.part_bounds(ev.new_part)
+        lo, hi = bounds(p, ev.part)
+        nlo, nhi = bounds(p, ev.new_part)
         assert (lo, hi) == (0, 2)
         assert (nlo, nhi) == (3, 4)
         assert set(p.table[nlo:nhi + 1]) == {2, 4}
@@ -106,7 +126,7 @@ def test_refine_sequences_keep_invariants(data):
                                 unique=True, min_size=1, max_size=n))
         events = p.refine(xs)
         part_count += len(events)
-        p.check_valid()
+        check_valid(p)
         assert len(p.part_lo) == part_count
         # every element of xs now lies in a part fully inside xs
         xset = set(xs)
