@@ -9,10 +9,6 @@ def parts_as_sets(p):
     return [set(part) for part in p.parts_in_order()]
 
 
-def bounds(p, pid):
-    return p.part_lo[pid], p.part_hi[pid]
-
-
 def check_valid(p):
     """The structural invariants of p; O(n + #parts)."""
     n = p.n
@@ -41,7 +37,7 @@ class TestInit:
 
     def test_bounds(self):
         p = OrderedPartition(12)
-        assert bounds(p, 0) == (0, 11)
+        assert (p.part_lo[0], p.part_hi[0]) == (0, 11)
 
     def test_empty_universe_rejected(self):
         with pytest.raises(ValueError):
@@ -74,8 +70,8 @@ class TestRefine:
         assert len(events) == 1
         ev = events[0]
         assert ev.boundary == 1
-        assert bounds(p, ev.new_part) == (2, 3)
-        assert bounds(p, ev.part) == (0, 1)
+        assert (p.part_lo[ev.part], p.part_hi[ev.part]) == (0, 1)
+        assert (p.part_lo[ev.new_part], p.part_hi[ev.new_part]) == (2, 3)
 
     def test_no_intersection_no_event(self):
         p = OrderedPartition(4)
@@ -108,9 +104,8 @@ class TestRefine:
         # the shrunken part keeps its interval prefix, the new part the suffix
         p = OrderedPartition(5)
         (ev,) = p.refine([2, 4])
-        lo, hi = bounds(p, ev.part)
-        nlo, nhi = bounds(p, ev.new_part)
-        assert (lo, hi) == (0, 2)
+        assert (p.part_lo[ev.part], p.part_hi[ev.part]) == (0, 2)
+        nlo, nhi = p.part_lo[ev.new_part], p.part_hi[ev.new_part]
         assert (nlo, nhi) == (3, 4)
         assert set(p.table[nlo:nhi + 1]) == {2, 4}
 
