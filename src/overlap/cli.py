@@ -15,6 +15,7 @@ from itertools import chain
 
 import numpy as np
 
+from .dgraph import UnionFind
 from .family import FamilyFormatError, SetFamily, parse_family
 from .generate import (gen_blocks, gen_nested, gen_random_lines,
                        gen_random_sets, gen_star)
@@ -249,6 +250,26 @@ def verify_result(res, full, oracle_max):
         lines.append("subgraph: MISMATCH")
         for a, b in bad:
             lines.append("  non-overlap edge %s %s" % (_label(a), _label(b)))
+
+    # each tree spans its class: |class| - 1 subgraph edges inside it, each
+    # joining two parts not yet joined (the classes are disjoint, so one
+    # union-find serves every tree)
+    edges = set(res.subgraph.edges)
+    uf = UnionFind(res.family.m)
+    forest = res.forest
+    class_id = forest.class_id.tolist()
+    bad = [root for k, (root, members, tree) in enumerate(zip(
+               forest.roots, forest.members, forest.tree_edges))
+           if len(tree) != len(members) - 1
+           or not all(class_id[a] == class_id[b] == k and (a, b) in edges
+                      and uf.union(a, b) for a, b in tree)]
+    if not bad:
+        lines.append("forest: ok (%d trees)" % len(forest.roots))
+    else:
+        ok = False
+        lines.append("forest: MISMATCH")
+        for root in bad:
+            lines.append("  bad tree of %s" % _label(root))
     return ok, lines
 
 

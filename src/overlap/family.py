@@ -10,8 +10,10 @@ interns labels.
 
 sort_order is the one sort kernel of the package: every ordering made
 here and in maxcomp and dgraph packs each key with its index into one
-int64 and sorts those with np.sort. sort_groups also marks where each
-run of equal keys starts.
+int64 and sorts those with np.sort. A key whose span needs more bits
+than the index leaves of 63 takes two such passes, low bits first, then
+stably the high bits. sort_groups also marks where each run of equal
+keys starts.
 """
 
 from functools import cached_property
@@ -47,43 +49,50 @@ def segments(values, offsets):
     return [values[a:b] for a, b in zip(offs, offs[1:])]
 
 
+def _packed_pass(part, shift):
+    """The stable order of part, int64 values from 0 to under
+    2**(63 - shift).
+
+    Each value is packed in place with its index, part << shift | index,
+    and one np.sort of those orders them: ties fall to the index and a
+    mask reads the order. part is left sorted, packed.
+    """
+    part <<= shift
+    part |= np.arange(len(part))
+    part.sort()
+    return part & ((1 << shift) - 1)
+
+
 def sort_order(key):
     """The stable order that sorts the integer array key, and key sorted.
 
-    The order is what np.argsort(key, kind="stable") gives, and the
-    sorted keys come back as int64. Each entry is packed into one int64,
-    (key - key.min()) << shift | index with shift the bit length of
-    n - 1, and one np.sort of those orders them: ties fall to the index,
-    a mask reads the order and a right shift the keys. On 2M random int64
-    keys (Xeon, numpy 2.4) np.argsort took 0.146 s, np.sort 0.028 s and
-    sort_order 0.052 s. When the key span and the index need more than
-    63 bits, a quicksort argsort sorts the keys and one packed sort of
-    (run of equal keys, index), which fits for n < 2**31, puts each run
-    back in index order.
+    The order is stable: equal keys keep the order of their indices. The
+    sorted keys come back as int64. With shift the bit length of n - 1,
+    key - key.min() is sorted by packed passes (_packed_pass): one when
+    it has at most 63 - shift bits, whose packed result gives the sorted
+    keys by a right shift, else two, least significant digit first. The
+    first sorts by the low 63 - shift bits and the second, stably, by
+    the rest, which has at most shift + 1 bits, so two passes always fit
+    for n < 2**31.
     """
     n = len(key)
     if not n:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     shift = (n - 1).bit_length()
     low = int(key.min())
+    part = key.astype(np.int64)
+    part -= low  # wraps past 2**63, read back as uint64 below
     if (int(key.max()) - low).bit_length() + shift <= 63:
-        packed = key.astype(np.int64)
-        packed -= low
-        packed <<= shift
-        packed |= np.arange(n)
-        packed.sort()
-        order = packed & ((1 << shift) - 1)
-        packed >>= shift
-        packed += low
-        return order, packed
-    order = np.argsort(key)
-    key = key[order].astype(np.int64, copy=False)
-    packed = np.zeros(n, dtype=np.int64)
-    np.cumsum(key[1:] != key[:-1], out=packed[1:])
-    packed <<= shift
-    packed |= order
-    packed.sort()
-    return packed & ((1 << shift) - 1), key
+        order = _packed_pass(part, shift)
+        part >>= shift
+        part += low
+        return order, part
+    bits = 63 - shift
+    high = (part.view(np.uint64) >> bits).view(np.int64)
+    part &= (1 << bits) - 1
+    order = _packed_pass(part, shift)
+    order = order[_packed_pass(high[order], shift)]
+    return order, key[order].astype(np.int64, copy=False)
 
 
 def sort_groups(key):

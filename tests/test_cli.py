@@ -118,6 +118,7 @@ class TestVerify:
     def test_pass(self, fam_a_file):
         code, out = run_cli("verify", fam_a_file)
         assert code == 0
+        assert "forest: ok (2 trees)" in out
         assert out.endswith("PASS\n")
 
     def test_star_pass(self, tmp_path):
@@ -145,6 +146,24 @@ class TestVerify:
         assert code == 1
         assert "subgraph: MISMATCH" in out
         assert "non-overlap edge X1 X3" in out
+        assert out.endswith("FAIL\n")
+
+    @pytest.mark.parametrize("edge", [(0, 2), (0, 1)])
+    def test_corrupted_tree_edge_fails(self, fam_a_file, monkeypatch, edge):
+        """A tree edge that is no subgraph edge, or that closes a cycle,
+        fails the forest check and names the tree's root."""
+        real = cli.run_pipeline
+
+        def corrupt(f):
+            res = real(f)
+            res.forest.tree_edges[0][1] = edge  # was (1, 2)
+            return res
+
+        monkeypatch.setattr(cli, "run_pipeline", corrupt)
+        code, out = run_cli("verify", fam_a_file)
+        assert code == 1
+        assert "forest: MISMATCH\n  bad tree of X1\n" in out
+        assert "subgraph: ok" in out
         assert out.endswith("FAIL\n")
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import overlap.family
 from overlap.family import (UNICODE_SPACES, FamilyFormatError, SetFamily,
                             build_sl_lists, lf_order, parse_family, segments,
                             sort_order)
@@ -296,15 +297,19 @@ def test_parse_matches_per_line_interning_random():
 
 def wide_family_text(rng):
     """A family text whose tokens have 1 to 41 bytes, pairs of tokens that
-    differ by a trailing NUL or only in their last byte, control bytes
-    and non-ASCII letters, set apart by every kind of whitespace
-    str.split knows."""
+    differ by a trailing NUL or only in their last character, control
+    bytes and non-ASCII letters, set apart by every kind of whitespace
+    str.split knows. Non-ASCII tokens of 8 bytes or more have 8-byte
+    words with the top bit set, which are negative as int64."""
     chars = "ab#!\x00\x01\x05\x08\x0e\x11\x1b\x7f"
     pool = ["\u00e9", "\u4e2d\u6587", "x\U0001f600", "!universe"]
+    stems = ["\u00e9" * 5, "\u4e2d" * 3, "\u00e9" * 4 + "\u4e2d",
+             "\u4e2d" * 5 + "\U0001f600"]
     for length in (1, 7, 8, 9, 15, 16, 17, 40):
         for _ in range(2):
-            stem = "".join(rng.choice(chars) for _ in range(length))
-            pool += [stem, stem + "\x00", stem[:-1] + "z"]
+            stems.append("".join(rng.choice(chars) for _ in range(length)))
+    for stem in stems:
+        pool += [stem, stem + "\x00", stem[:-1] + "z"]
     blanks = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f"]
     blanks += [chr(c) for c in UNICODE_SPACES]
     lines = []
@@ -398,16 +403,17 @@ def assert_sorts_like_stable_argsort(key):
     assert sorted_key.tolist() == np.sort(key).tolist()
 
 
-def count_argsort(monkeypatch):
-    """Patch np.argsort to count its calls; returns the running count."""
+def count_passes(monkeypatch):
+    """Patch sort_order's packed pass to count its calls; returns the
+    list of the lengths it sorted."""
     calls = []
-    argsort = np.argsort
+    packed_pass = overlap.family._packed_pass
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("kind"))
-        return argsort(*args, **kwargs)
+    def counting(part, shift):
+        calls.append(len(part))
+        return packed_pass(part, shift)
 
-    monkeypatch.setattr(np, "argsort", counting)
+    monkeypatch.setattr(overlap.family, "_packed_pass", counting)
     return calls
 
 
@@ -445,30 +451,41 @@ class TestSortOrder:
                                                (1025, 11)])
     @pytest.mark.parametrize("width", [63, 64])
     def test_both_sides_of_63_bits(self, monkeypatch, n, index_bits, width):
-        """A key span of width - index_bits bits packs at 63 bits and takes
-        the argsort fallback at 64."""
+        """A key span of width - index_bits bits takes one packed pass at
+        63 bits and two at 64."""
         span = 1 << (width - index_bits - 1)  # bit length width - index_bits
         rng = np.random.default_rng(n + width)
         low = -2**40
         key = rng.choice([low, low + span // 3, low + span], n)
         key[:2] = low + span, low
-        calls = count_argsort(monkeypatch)
+        calls = count_passes(monkeypatch)
         order, sorted_key = sort_order(key)
-        assert calls == ([] if width == 63 else [None])
+        assert calls == ([n] if width == 63 else [n, n])
         monkeypatch.undo()
         assert order.tolist() == np.argsort(key, kind="stable").tolist()
         assert sorted_key.tolist() == np.sort(key).tolist()
 
-    def test_fallback_runs_on_full_int64_range(self, monkeypatch):
+    def test_two_passes_on_full_int64_range(self, monkeypatch):
         rng = np.random.default_rng(7)
         key = rng.choice(np.array([np.iinfo(np.int64).min, -1, 0,
                                    np.iinfo(np.int64).max]), 3000)
-        calls = count_argsort(monkeypatch)
+        calls = count_passes(monkeypatch)
         order, sorted_key = sort_order(key)
-        assert calls == [None]
+        assert calls == [3000, 3000]
         monkeypatch.undo()
         assert order.tolist() == np.argsort(key, kind="stable").tolist()
         assert sorted_key.tolist() == np.sort(key).tolist()
+
+    def test_uint64_words_viewed_as_int64(self):
+        """The 8-byte words the parse sorts: those at or above 2**63 view
+        as negative int64."""
+        rng = np.random.default_rng(8)
+        for n in (2, 9, 1000, 5000):
+            words = rng.integers(0, 2**64, n, dtype=np.uint64)
+            words[:2] = 2**63, 2**64 - 1
+            assert_sorts_like_stable_argsort(words.view(np.int64))
+            tied = rng.choice(words[:4], n)
+            assert_sorts_like_stable_argsort(tied.view(np.int64))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3),

@@ -15,24 +15,14 @@ def test_every_exported_name_exists():
         assert not missing, (info.name, missing)
 
 
-def argsort_uses(node, func=None):
-    """The enclosing function of every name, attribute or import called
-    argsort under node (None at module level)."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        func = node.name
-    names = (getattr(node, "attr", None), getattr(node, "id", None),
-             getattr(node, "name", None))
-    uses = [func] if "argsort" in names else []
-    for child in ast.iter_child_nodes(node):
-        uses += argsort_uses(child, func)
-    return uses
-
-
-def test_argsort_only_in_sort_order_fallback():
-    """Every ordering goes through family.sort_order; np.argsort appears
-    once in the package, in its fallback for keys wider than 63 bits."""
+def test_no_argsort_in_package():
+    """Every ordering goes through family.sort_order's packed sort: no
+    name, attribute or import called argsort appears in the package."""
     found = []
     for path in sorted(Path(overlap.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [(path.name, func) for func in argsort_uses(tree)]
-    assert found == [("family.py", "sort_order")]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = (getattr(node, "attr", None), getattr(node, "id", None),
+                     getattr(node, "name", None))
+            if "argsort" in names:
+                found.append((path.name, node.lineno))
+    assert found == []
