@@ -3,7 +3,9 @@
 A family is m subsets of a universe of n elements. Elements are interned
 to dense indices; all algorithms downstream work on indices only and the
 original tokens are kept solely for output. SetFamily(tokens, elems,
-sizes) builds a family from its flat form and is the only constructor.
+sizes) builds a family from its flat form and is the only constructor;
+it also makes the family's LF order (f.lf), which the SL lists, pass 1
+and pass 3 read.
 parse_family reads the text format from its UTF-8 bytes with numpy,
 interns the tokens through sort_order and calls it; no other code
 interns labels.
@@ -26,7 +28,6 @@ __all__ = [
     "LFOrder",
     "SLLists",
     "parse_family",
-    "lf_order",
     "build_sl_lists",
     "segments",
     "sort_order",
@@ -113,20 +114,24 @@ class SetFamily:
     sizes: int32 set cardinalities; total_size is their sum (|F|).
     sets: the same sets as m lists of element indices, built on first
     access.
+    lf: the LFOrder of the sizes, made once repeats are dropped.
 
     A family is built from the text format by parse_family, or from the
     flat form by SetFamily(tokens, elems, sizes), elems and sizes being
-    integer arrays or lists of ints (a float or bool dtype is refused,
-    not truncated): set i is the next sizes[i] entries of elems, each an
-    index into tokens. The sizes must be positive and add up to
-    len(elems). An element repeated within its set is dropped, and its
-    first place kept.
+    one-dimensional integer arrays or lists of ints (a float or bool
+    dtype is refused, not truncated): set i is the next sizes[i] entries
+    of elems, each an index into tokens. The sizes must be positive and
+    add up to len(elems). An element repeated within its set is dropped,
+    and its first place kept.
     """
 
     def __init__(self, tokens, elems, sizes):
         self.tokens = list(tokens)
         self.n = len(self.tokens)
         elems, sizes = np.asarray(elems), np.asarray(sizes)
+        if elems.ndim != 1 or sizes.ndim != 1:
+            raise ValueError("1-D elems and sizes needed, got %d-D and %d-D"
+                             % (elems.ndim, sizes.ndim))
         self.m = len(sizes)
         if not self.m:
             raise ValueError("family has no sets")
@@ -158,6 +163,7 @@ class SetFamily:
                                     dtype=np.int32)
             elems = elems[~rep]
         self.elems, self.sizes = elems, sizes
+        self.lf = LFOrder(sort_order(-sizes)[0])
         self.offsets = np.zeros(self.m + 1, dtype=np.int64)
         np.cumsum(sizes, out=self.offsets[1:])
         self.total_size = int(self.offsets[-1])
@@ -238,14 +244,14 @@ _LENGTH_BIT = np.array([1 << 8 * k for k in range(8)] + [1 << 57],
 def _utf8(source):
     """The family text as UTF-8 bytes whose only whitespace is ASCII.
 
-    ASCII bytes come back as they are. Other input is decoded, which
+    ASCII bytes come back as bytes. Other input is decoded, which
     raises UnicodeDecodeError on bytes that are not UTF-8, loses a
     leading byte-order mark, has its non-ASCII whitespace turned into
     spaces and is encoded again.
     """
     data = source.read() if hasattr(source, "read") else source
     if data.isascii():
-        return data.encode() if isinstance(data, str) else data
+        return data.encode() if isinstance(data, str) else bytes(data)
     if not isinstance(data, str):
         data = str(data, "utf-8")
     return data.removeprefix("\ufeff").translate(_TO_SPACE).encode()
@@ -311,7 +317,7 @@ def _reader(data):
     return read
 
 
-def _wide_names(read, start, length):
+def _wide_names(data, read, start, length):
     """Dense names of tokens of 8 bytes or more, equal exactly when the
     tokens are, and the first token of each name.
 
@@ -322,11 +328,17 @@ def _wide_names(read, start, length):
     pairs together, and each pair takes a new name. A token drops out
     when its bytes end, or when no other token shares its name, since
     then no later word can make it equal another.
+
+    A round runs only while more tokens are live than rounds have run,
+    so there are no more rounds than tokens, and the rounds read no more
+    words than the tokens hold. The tokens still live after them take
+    new names from one dict keyed by their name so far and the rest of
+    their bytes, which hashes each of those bytes once.
     """
     name = length.astype(np.int64)
     live = sort_order(name)[0]
     done = 0
-    while len(live):
+    while len(live) > done >> 3:
         word = read(start[live] + done, np.minimum(length[live] - done, 8))
         head = np.ones(len(live), dtype=bool)
         np.not_equal(name[live[1:]], name[live[:-1]], out=head[1:])
@@ -341,6 +353,11 @@ def _wide_names(read, start, length):
         done += 8
         shared = ~(head & np.append(head[1:], True))
         live = live[shared & (length[live] > done)]
+    if len(live):
+        top, tails, was = int(name.max()) + 1, {}, name[live].tolist()
+        cut = np.stack((start[live] + done, start[live] + length[live]), 1)
+        name[live] = [top + tails.setdefault((w, data[a:b]), len(tails))
+                      for w, (a, b) in zip(was, cut.tolist())]
     order, _, first = sort_groups(name)
     dense = np.empty(len(name), dtype=np.uint64)
     dense[order] = np.cumsum(first) - 1
@@ -361,7 +378,7 @@ def _token_keys(data, start, length):
     key |= _LENGTH_BIT[short]
     del short
     wide = np.flatnonzero(length >= 8)
-    names, first = _wide_names(read, start[wide], length[wide])
+    names, first = _wide_names(data, read, start[wide], length[wide])
     key[wide] = names + _LENGTH_BIT[8]
     first = wide[first]
     return key.view(np.int64), [data[a:a + n] for a, n in zip(
@@ -446,25 +463,19 @@ def parse_family(source):
                      sizes)
 
 
-def lf_order(f):
-    """Sort the sets by decreasing size, stable on input index (sort_order
-    of the negated sizes)."""
-    return LFOrder(sort_order(-f.sizes)[0])
-
-
-def build_sl_lists(f, lf):
+def build_sl_lists(f):
     """Build all SL lists with one sort of the (element, set) incidences.
 
-    Each incidence becomes the key element * m + (m - 1 - rank of the
+    Each incidence becomes the key element * m + (m - 1 - LF rank of the
     set): sorted, the keys group by element and, within an element, run
-    along the reversed LF order.
+    along the reversed LF order (f.lf).
     """
     m = f.m
-    revrank = (m - 1) - lf.rank.astype(np.int64)
+    revrank = (m - 1) - f.lf.rank.astype(np.int64)
     owner = np.repeat(revrank, f.sizes)
     keys = f.elems.astype(np.int64) * m + owner
     keys.sort()
-    flat = lf.order[(m - 1) - keys % m]
+    flat = f.lf.order[(m - 1) - keys % m]
     offsets = np.zeros(f.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(f.elems, minlength=f.n), out=offsets[1:])
     return SLLists(flat, offsets, keys, revrank)

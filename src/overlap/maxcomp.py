@@ -175,7 +175,7 @@ def _rank_round(rank, cols, name, keep):
     return rank[at[cut]], order[np.stack((cut - 1, cut))]
 
 
-def compute_pf(f, lf, sl):
+def compute_pf(f, sl):
     """Pass 1: the final order of the refinement by every set in LF order.
 
     Refining by a set moves its members after the other elements of each
@@ -216,7 +216,7 @@ def compute_pf(f, lf, sl):
     n, m = f.n, f.m
     # sl.flat backwards holds the column of element e at place n - 1 - e
     length = np.diff(sl.offsets)[::-1]
-    names = np.insert(m - lf.rank[sl.flat[::-1]], np.cumsum(length), 0)
+    names = np.insert(m - f.lf.rank[sl.flat[::-1]], np.cumsum(length), 0)
     first = np.cumsum(length + 1) - length - 1
     cols, rank = np.arange(n), np.zeros(n, dtype=np.int64)
     left, rounds = None, []
@@ -248,7 +248,7 @@ def compute_bounds(f, pf):
                   np.maximum.reduceat(vals, starts))
 
 
-def compute_max(f, lf, pf, bounds):
+def compute_max(f, pf, bounds):
     """Pass 3: the earliest refiner that separates each set's elements.
 
     Set X's elements lie at positions left(X) to right(X) of the final
@@ -273,6 +273,6 @@ def compute_max(f, lf, pf, bounds):
                                             np.minimum)):
         q = np.flatnonzero(level_of == k)
         first[q] = np.minimum(level[right[q]], level[left[q] + (1 << k)])
-    y = lf.order[np.minimum(first, f.m - 1)]
+    y = f.lf.order[np.minimum(first, f.m - 1)]
     found = (first < f.m) & (f.sizes[y] >= f.sizes)
     return MaxAssignment(np.where(found, y, -1))

@@ -1,21 +1,21 @@
-"""End-to-end pipeline: family orders -> Max -> subgraph -> forest, each
-layer timed."""
+"""End-to-end pipeline: SL lists -> Max -> subgraph -> forest, each layer
+timed. The LF order is the family's own (SetFamily.lf)."""
 
 import time
 from functools import cached_property
 
 from .dgraph import build_dgraph, spanning_forest
-from .family import build_sl_lists, lf_order
+from .family import build_sl_lists
 from .maxcomp import compute_bounds, compute_max, compute_pf
 from .subgraph import build_overlap_subgraph
 
 __all__ = ["LAYERS", "PipelineResult", "run_pipeline"]
 
-# the layers run_pipeline times, in the order it runs them: the LF order
-# and SL lists, the three passes that compute Max (pass 1, bounds and
-# pass 3), the subgraph's three parts and the spanning forest
-LAYERS = ("lf_order", "sl_lists", "pass1", "bounds", "pass3", "covers",
-          "resolve", "dedup", "forest")
+# the layers run_pipeline times, in the order it runs them: the SL lists,
+# the three passes that compute Max (pass 1, bounds and pass 3), the
+# subgraph's three parts and the spanning forest
+LAYERS = ("sl_lists", "pass1", "bounds", "pass3", "covers", "resolve",
+          "dedup", "forest")
 
 
 class PipelineResult:
@@ -27,11 +27,12 @@ class PipelineResult:
     components (spanning_forest(res.dgraph) gives them), is not needed
     for that. It is built on first access, from SL lists it builds
     again, so the result keeps no |F|-sized lists or membership keys.
+    lf is the family's LF order.
     """
 
-    def __init__(self, family, lf, maxes, subgraph, forest, times):
+    def __init__(self, family, maxes, subgraph, forest, times):
         self.family = family
-        self.lf = lf
+        self.lf = family.lf
         self.maxes = maxes
         self.subgraph = subgraph
         self.labeling = self.forest = forest
@@ -39,8 +40,8 @@ class PipelineResult:
 
     @cached_property
     def dgraph(self):
-        return build_dgraph(self.family,
-                            build_sl_lists(self.family, self.lf), self.maxes)
+        return build_dgraph(self.family, build_sl_lists(self.family),
+                            self.maxes)
 
     @property
     def n_classes(self):
@@ -65,19 +66,17 @@ def run_pipeline(f):
         times[name] = now - last
         last = now
 
-    lf = lf_order(f)
-    lap("lf_order")
-    sl = build_sl_lists(f, lf)
+    sl = build_sl_lists(f)
     lap("sl_lists")
-    pf = compute_pf(f, lf, sl)
+    pf = compute_pf(f, sl)
     lap("pass1")
     bounds = compute_bounds(f, pf)
     lap("bounds")
-    maxes = compute_max(f, lf, pf, bounds)
+    maxes = compute_max(f, pf, bounds)
     lap("pass3")
     sub = build_overlap_subgraph(f, sl, maxes, bounds, pf, lap)
     forest = spanning_forest(sub)
     lap("forest")
     times["total"] = last - start
 
-    return PipelineResult(f, lf, maxes, sub, forest, times)
+    return PipelineResult(f, maxes, sub, forest, times)

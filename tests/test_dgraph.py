@@ -3,7 +3,7 @@ import numpy as np
 import overlap.dgraph
 from overlap.dgraph import (SetGraph, build_dgraph, dedup_sorted_pairs,
                             spanning_forest)
-from overlap.family import build_sl_lists, lf_order, parse_family
+from overlap.family import build_sl_lists, parse_family
 from overlap.generate import gen_nested
 from overlap.maxcomp import compute_bounds, compute_max, compute_pf
 from overlap.oracle import overlap_graph_full
@@ -14,11 +14,10 @@ from conftest import make_family, random_family, seeded_rng
 
 
 def dahlhaus(f):
-    lf = lf_order(f)
-    sl = build_sl_lists(f, lf)
-    pf = compute_pf(f, lf, sl)
+    sl = build_sl_lists(f)
+    pf = compute_pf(f, sl)
     bounds = compute_bounds(f, pf)
-    maxes = compute_max(f, lf, pf, bounds)
+    maxes = compute_max(f, pf, bounds)
     return build_dgraph(f, sl, maxes)
 
 
@@ -107,8 +106,7 @@ def test_dgraph_matches_running_max_scan_random():
     for k in range(600):
         f = random_family(rng, max_n=6 if k % 3 == 0 else 20, max_m=30)
         res = run_pipeline(f)
-        edges, raw = running_max_dgraph(f, build_sl_lists(f, res.lf),
-                                        res.maxes)
+        edges, raw = running_max_dgraph(f, build_sl_lists(f), res.maxes)
         assert res.dgraph.edges == edges, f.sets
         assert res.dgraph.raw_edge_count == raw, f.sets
 
@@ -118,11 +116,10 @@ def test_maxless_family_builds_no_window_table(monkeypatch):
     # without the cover walk's window table
     runs = []
     for f in (parse_family(gen_nested(40)), make_family([0, 1], [2, 3], [4])):
-        lf = lf_order(f)
-        sl = build_sl_lists(f, lf)
-        pf = compute_pf(f, lf, sl)
+        sl = build_sl_lists(f)
+        pf = compute_pf(f, sl)
         bounds = compute_bounds(f, pf)
-        maxes = compute_max(f, lf, pf, bounds)
+        maxes = compute_max(f, pf, bounds)
         assert (maxes.partners < 0).all()
         runs.append((f, sl, maxes, bounds, pf, run_pipeline(f)))
 
@@ -141,7 +138,7 @@ def test_result_keeps_no_sl_lists(fam_a):
     # past the run; the helper graph builds its own lists
     res = run_pipeline(fam_a)
     assert not hasattr(res, "sl")
-    want = build_dgraph(fam_a, build_sl_lists(fam_a, res.lf), res.maxes)
+    want = build_dgraph(fam_a, build_sl_lists(fam_a), res.maxes)
     assert (res.dgraph.edges, res.dgraph.raw_edge_count) == (
         want.edges, want.raw_edge_count)
     assert res.dgraph.edges == dahlhaus(fam_a).edges == [(0, 1), (1, 2)]

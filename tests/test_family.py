@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import overlap.family
 from overlap.family import (UNICODE_SPACES, FamilyFormatError, SetFamily,
-                            build_sl_lists, lf_order, parse_family, segments,
+                            build_sl_lists, parse_family, segments,
                             sort_order)
 from overlap.generate import gen_nested
 from overlap.pipeline import run_pipeline
@@ -125,6 +125,18 @@ class TestParse:
         with pytest.raises(ValueError, match="integer elems and sizes"):
             SetFamily(["a", "b"], elems, sizes)
 
+    # a 2-D elems was stored as sets of index rows, and a 0-D sizes
+    # failed in len()
+    @pytest.mark.parametrize("elems, sizes, dims", [
+        (np.array([[0, 1], [1, 2]]), np.array([1, 1]), "2-D and 1-D"),
+        (np.array([0, 1, 1, 2]), np.array([[2], [2]]), "1-D and 2-D"),
+        (np.array([0, 1]), np.array(2), "1-D and 0-D"),
+    ], ids=["2d_elems", "2d_sizes", "0d_sizes"])
+    def test_arrays_not_one_dimensional_rejected(self, elems, sizes, dims):
+        with pytest.raises(ValueError, match="1-D elems and sizes needed, "
+                           "got %s" % dims):
+            SetFamily(["a", "b", "c"], elems, sizes)
+
     def test_integer_lists_build_the_arrays_family(self):
         want = SetFamily(["a", "b", "c"], *flat([0, 2], [1, 1, 2]))
         f = SetFamily(["a", "b", "c"], [0, 2, 1, 1, 2], [2, 3])
@@ -152,20 +164,26 @@ class TestParse:
 class TestLFOrder:
 
     def test_fam_a(self, fam_a):
-        assert lf_order(fam_a).order.tolist() == [3, 0, 1, 2]
+        assert fam_a.lf.order.tolist() == [3, 0, 1, 2]
 
     def test_equal_sizes_keep_input_order(self):
         f = make_family([0, 1], [2, 3], [4, 5])
-        assert lf_order(f).order.tolist() == [0, 1, 2]
+        assert f.lf.order.tolist() == [0, 1, 2]
 
     def test_star_keeps_input_order(self):
         f = make_family(*[[0, i] for i in range(1, 6)])
-        assert lf_order(f).order.tolist() == [0, 1, 2, 3, 4]
+        assert f.lf.order.tolist() == [0, 1, 2, 3, 4]
 
     def test_rank_is_inverse(self, fam_a):
-        lf = lf_order(fam_a)
+        lf = fam_a.lf
         for r, i in enumerate(lf.order):
             assert lf.rank[i] == r
+
+    def test_made_after_repeats_are_dropped(self):
+        # the second set keeps all 3 elements, the first only 2 of its 3
+        f = SetFamily(list("abcde"), [0, 0, 1, 2, 3, 4], [3, 3])
+        assert f.sizes.tolist() == [2, 3]
+        assert f.lf.order.tolist() == [1, 0]
 
 
 def sl_lists(sl):
@@ -176,16 +194,16 @@ def sl_lists(sl):
 class TestSLLists:
 
     def test_fam_a_element_two(self, fam_a):
-        sl = build_sl_lists(fam_a, lf_order(fam_a))
+        sl = build_sl_lists(fam_a)
         two = fam_a.tokens.index("2")
         assert sl_lists(sl)[two] == [1, 0, 3]  # X2, X1, X4
 
     def test_absent_and_single(self):
         f = make_family([0], universe=[0, 1])
-        assert sl_lists(build_sl_lists(f, lf_order(f))) == [[0], []]
+        assert sl_lists(build_sl_lists(f)) == [[0], []]
 
     def test_concat_length_equals_total_size(self, fam_a):
-        sl = build_sl_lists(fam_a, lf_order(fam_a))
+        sl = build_sl_lists(fam_a)
         assert sum(map(len, sl_lists(sl))) == fam_a.total_size
 
 
@@ -193,8 +211,8 @@ class TestSLLists:
 @given(st.integers(min_value=0, max_value=10**9))
 def test_sl_invariants_random(seed):
     f = random_family(seeded_rng(seed), max_n=15, max_m=15)
-    lf = lf_order(f)
-    sl = build_sl_lists(f, lf)
+    lf = f.lf
+    sl = build_sl_lists(f)
     lists = sl_lists(sl)
     assert sum(map(len, lists)) == f.total_size
     for v, lst in enumerate(lists):
@@ -215,9 +233,8 @@ def test_orders_deterministic():
     rng = seeded_rng(7)
     f = random_family(rng)
     g = SetFamily(f.tokens, *flat(*f.sets))
-    lf1, lf2 = lf_order(f), lf_order(g)
-    assert lf1.order.tolist() == lf2.order.tolist()
-    assert sl_lists(build_sl_lists(f, lf1)) == sl_lists(build_sl_lists(g, lf2))
+    assert f.lf.order.tolist() == g.lf.order.tolist()
+    assert sl_lists(build_sl_lists(f)) == sl_lists(build_sl_lists(g))
 
 
 def intern_rows(rows, index):
@@ -359,6 +376,69 @@ def test_parse_matches_reference_on_wide_tokens_and_whitespace(tmp_path):
     path = tmp_path / "family.txt"
     for _ in range(300):
         assert_parses_like_reference(wide_family_text(rng), path)
+
+
+def lines_of(rng, pool, count=8):
+    """A family text of count lines, each of 1 to 4 tokens from pool."""
+    return "".join(" ".join(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+                   + "\n" for _ in range(count))
+
+
+def long_token_texts():
+    """Family texts of long tokens tied for many 8-byte words: copies of
+    one token of 64 KB, long shared prefixes whose tails differ in the
+    last byte, by a trailing NUL or only in length, and tied groups whose
+    tails differ only after the word rounds stop."""
+    rng = seeded_rng(61)
+    big = "".join(rng.choice("abé") for _ in range(1 << 16))
+    yield "copies_of_64k", "\n".join([big] * 6 + [big + " x"]) + "\n"
+    for length in (9, 64, 1000, 20000):
+        stem = "".join(rng.choice("ab\x01é") for _ in range(length))
+        pool = [stem, stem[:-1] + "z", stem + "\x00", stem[:-1], stem + "a"]
+        yield "prefix_%d" % length, lines_of(rng, pool)
+    # each group is live through the rounds: its heads differ in the
+    # first word, and its tails, past the last round, in one byte
+    tail = "".join(rng.choice("ab") for _ in range(2000))
+    for heads in (2, 3, 6):
+        pool = []
+        for head in ("%08d" % i for i in range(heads)):
+            pool += [head + tail, head + tail[:-1] + "c",
+                     head + tail[:1000] + "c" + tail[1001:]]
+        yield "tied_groups_%d" % heads, lines_of(rng, pool, 2 * len(pool))
+
+
+@pytest.mark.parametrize("text", [t for _, t in long_token_texts()],
+                         ids=[i for i, _ in long_token_texts()])
+def test_parse_matches_reference_on_long_tied_tokens(text, tmp_path):
+    assert_parses_like_reference(text, tmp_path / "family.txt")
+    # the tail of a token is a dict key, so a bytearray is read as bytes
+    got, want = parse_family(bytearray(text.encode())), parse_family(text)
+    assert (got.tokens, got.elems.tolist()) == (want.tokens,
+                                                want.elems.tolist())
+
+
+def test_long_tied_tokens_take_few_reads(monkeypatch):
+    """Two equal 1 MB tokens take 3 reads of 8-byte words: one for every
+    token's first word and two word rounds, since the rounds stop once
+    no more tokens are live than rounds have run; the rest of their
+    bytes is named in one dict."""
+    reads = []
+    reader = overlap.family._reader
+
+    def counting_reader(data):
+        read = reader(data)
+
+        def counted(pos, n):
+            reads.append(len(pos))
+            return read(pos, n)
+        return counted
+
+    monkeypatch.setattr(overlap.family, "_reader", counting_reader)
+    token = "ab" * (1 << 19)
+    f = parse_family("%s\n%s x\n" % (token, token))
+    assert len(reads) <= 3
+    assert f.tokens == [token, "x"]
+    assert f.sets == [[0], [0, 1]]
 
 
 @pytest.mark.parametrize("code", UNICODE_SPACES)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlap.family import build_sl_lists, lf_order, parse_family
+from overlap.family import build_sl_lists, parse_family
 from overlap.generate import gen_blocks, gen_nested, gen_star
 from overlap import maxcomp
 from overlap.maxcomp import compute_bounds, compute_max, compute_pf
@@ -13,35 +13,33 @@ from overlap.partition import OrderedPartition
 from conftest import exhaustive_families, make_family, random_family, seeded_rng
 
 
-def pass1(f, lf):
-    return compute_pf(f, lf, build_sl_lists(f, lf))
+def pass1(f):
+    return compute_pf(f, build_sl_lists(f))
 
 
 def max_stages(f):
-    lf = lf_order(f)
-    pf = pass1(f, lf)
+    pf = pass1(f)
     bounds = compute_bounds(f, pf)
-    return lf, pf, bounds
+    return pf, bounds
 
 
 def fast_max(f):
-    lf, pf, bounds = max_stages(f)
-    return compute_max(f, lf, pf, bounds), lf
+    return compute_max(f, *max_stages(f))
 
 
-def reference_pass1(f, lf):
+def reference_pass1(f):
     """Pass 1 as the paper runs it, the reference for compute_pf.
 
     Refines the one-part ordered partition of the universe by each set in
-    LF order. Returns the final parts left to right as lists, the row (the
-    LF rank of the split that opened the boundary before each position),
-    and every split as an (r, part, boundary, hi) tuple in the order it
-    happened: the set of LF rank r split the part, which kept
+    LF order (f.lf). Returns the final parts left to right as lists, the
+    row (the LF rank of the split that opened the boundary before each
+    position), and every split as an (r, part, boundary, hi) tuple in the
+    order it happened: the set of LF rank r split the part, which kept
     [lo, boundary] while a new part took [boundary + 1, hi].
     """
     op = OrderedPartition(f.n)
     splits = []
-    for r, x in enumerate(lf.order.tolist()):
+    for r, x in enumerate(f.lf.order.tolist()):
         for ev in op.refine(f.sets[x]):
             splits.append((r, ev.part, ev.boundary, op.part_hi[ev.new_part]))
     row = [f.m] * f.n
@@ -59,9 +57,8 @@ def twin_groups(pf, m):
 def assert_pass1_matches(f):
     """row equals the reference's exactly, and elem_at holds the
     reference's final parts, left to right, in any order within each."""
-    lf = lf_order(f)
-    pf = pass1(f, lf)
-    parts, row, _ = reference_pass1(f, lf)
+    pf = pass1(f)
+    parts, row, _ = reference_pass1(f)
     assert pf.row.tolist() == row, f.sets
     assert twin_groups(pf, f.m) == [sorted(p) for p in parts], f.sets
 
@@ -81,11 +78,11 @@ def family_of_columns(columns):
     for i, s in enumerate(sets):
         s += ["p%d.%d" % (i, j) for j in range(top - i - len(s))]
     f = make_family(*sets, universe=range(len(columns)))
-    assert lf_order(f).order.tolist() == list(range(m))
+    assert f.lf.order.tolist() == list(range(m))
     return f
 
 
-def replay_max(f, lf, bounds):
+def replay_max(f, bounds):
     """Pass 3 as a replay of pass 1's splits, the reference for the
     window-minimum read.
 
@@ -96,7 +93,7 @@ def replay_max(f, lf, bounds):
     refiner is a set's Max if it is at least as large; otherwise the set
     is dropped by size. Returns the Max partners as a list, -1 for none.
     """
-    _, _, splits = reference_pass1(f, lf)
+    _, _, splits = reference_pass1(f)
     by_right = np.lexsort((bounds.left, bounds.right))
     start = np.zeros(f.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(bounds.right, minlength=f.n), out=start[1:])
@@ -104,7 +101,7 @@ def replay_max(f, lf, bounds):
     left = bounds.left[by_right].tolist()
     cursor = start[:-1].tolist()
     end = start[1:].tolist()
-    order = lf.order.tolist()
+    order = f.lf.order.tolist()
     sizes = f.sizes.tolist()
     maxes = [-1] * f.m
     for r, _, boundary, hi in splits:
@@ -121,27 +118,26 @@ def replay_max(f, lf, bounds):
 
 
 def assert_matches_replay(f):
-    lf, pf, bounds = max_stages(f)
-    got = compute_max(f, lf, pf, bounds).partners.tolist()
-    assert got == replay_max(f, lf, bounds), f.sets
+    pf, bounds = max_stages(f)
+    got = compute_max(f, pf, bounds).partners.tolist()
+    assert got == replay_max(f, bounds), f.sets
     return bounds
 
 
 class TestPfOrder:
 
     def test_fam_a(self, fam_a):
-        lf = lf_order(fam_a)
-        pf = pass1(fam_a, lf)
+        pf = pass1(fam_a)
         assert [fam_a.tokens[e] for e in pf.elem_at] == ["4", "3", "1", "2"]
 
     def test_single_set_complement_then_set(self):
         f = make_family([1, 3], universe=range(5))
-        pf = pass1(f, lf_order(f))
+        pf = pass1(f)
         assert {f.tokens[e] for e in pf.elem_at[3:]} == {"1", "3"}
         assert {f.tokens[e] for e in pf.elem_at[:3]} == {"0", "2", "4"}
 
     def test_inverse_maps(self, fam_a):
-        pf = pass1(fam_a, lf_order(fam_a))
+        pf = pass1(fam_a)
         for slot, e in enumerate(pf.elem_at):
             assert pf.pos_f[e] == slot
 
@@ -221,19 +217,17 @@ def test_pass1_sorts_linear_keys(monkeypatch, f):
 
     for name in ("sort_groups", "sort_order"):
         monkeypatch.setattr(maxcomp, name, counting(getattr(maxcomp, name)))
-    lf = lf_order(f)
-    sl = build_sl_lists(f, lf)
-    pf = maxcomp.compute_pf(f, lf, sl)
+    pf = maxcomp.compute_pf(f, build_sl_lists(f))
     assert sum(sorted_keys) < 2 * (f.total_size + f.n)
-    assert columns_lex_sorted(f, lf, pf)
+    assert columns_lex_sorted(f, pf)
 
 
-def columns_lex_sorted(f, lf, pf):
+def columns_lex_sorted(f, pf):
     sets = f.as_frozensets()
     cols = []
     for p in range(f.n):
         e = pf.elem_at[p]
-        cols.append(tuple(1 if e in sets[i] else 0 for i in lf.order))
+        cols.append(tuple(1 if e in sets[i] else 0 for i in f.lf.order))
     return all(a <= b for a, b in zip(cols, cols[1:]))
 
 
@@ -241,27 +235,25 @@ def columns_lex_sorted(f, lf, pf):
 @given(st.integers(min_value=0, max_value=10**9))
 def test_pf_is_lexicographic_column_order(seed):
     f = random_family(seeded_rng(seed), max_n=12, max_m=12)
-    lf = lf_order(f)
-    pf = pass1(f, lf)
-    assert columns_lex_sorted(f, lf, pf)
+    assert columns_lex_sorted(f, pass1(f))
 
 
 class TestBounds:
 
     def test_fam_a(self, fam_a):
-        _, pf, bounds = max_stages(fam_a)
+        pf, bounds = max_stages(fam_a)
         # X2 = {2, 3} sits at positions 1 and 3 of P_f = (4, 3, 1, 2)
         assert (bounds.left[1], bounds.right[1]) == (1, 3)
         assert (bounds.left[0], bounds.right[0]) == (2, 3)
 
     def test_full_set(self):
         f = make_family(range(6))
-        _, _, bounds = max_stages(f)
+        _, bounds = max_stages(f)
         assert (bounds.left[0], bounds.right[0]) == (0, 5)
 
     def test_singleton(self):
         f = make_family([0], [0, 1])
-        _, _, bounds = max_stages(f)
+        _, bounds = max_stages(f)
         assert bounds.left[0] == bounds.right[0]
 
 
@@ -272,39 +264,39 @@ class TestSplitRanks:
         # (rank 1) opens the boundary before position 2, X2 = {2, 3}
         # (rank 2) those before positions 1 and 3, and X3 finds only
         # singletons; no boundary lies before position 0
-        _, pf, _ = max_stages(fam_a)
+        pf, _ = max_stages(fam_a)
         assert pf.row.tolist() == [4, 2, 1, 2]
 
     def test_no_split(self):
         f = make_family([0, 1, 2], [0, 1, 2])
-        _, pf, _ = max_stages(f)
+        pf, _ = max_stages(f)
         assert pf.row.tolist() == [2, 2, 2]
 
 
 class TestComputeMax:
 
     def test_fam_a(self, fam_a):
-        maxes, _ = fast_max(fam_a)
+        maxes = fast_max(fam_a)
         assert maxes.values == [1, 0, 1, None]
 
     def test_pairwise_disjoint_all_none(self):
         f = make_family([0, 1], [2, 3], [4])
-        maxes, _ = fast_max(f)
+        maxes = fast_max(f)
         assert maxes.values == [None, None, None]
 
     def test_identical_sets_none(self):
         f = make_family([0, 1], [0, 1])
-        maxes, _ = fast_max(f)
+        maxes = fast_max(f)
         assert maxes.values == [None, None]
 
     def test_equal_size_mutual_pair(self):
         f = make_family([0, 1], [1, 2])
-        maxes, _ = fast_max(f)
+        maxes = fast_max(f)
         assert maxes.values == [1, 0]
 
     def test_nested_chain_none(self):
         f = make_family([0], [0, 1], [0, 1, 2])
-        maxes, _ = fast_max(f)
+        maxes = fast_max(f)
         assert maxes.values == [None, None, None]
 
     def test_dropped_by_size_keeps_later_set_at_position(self):
@@ -313,30 +305,30 @@ class TestComputeMax:
         # and is dropped, X3 gets X1. X1, behind them, is served by the
         # next refiner X3
         f = make_family([1, 2], [0, 1, 2], [0, 2])
-        maxes, _ = fast_max(f)
+        maxes = fast_max(f)
         assert maxes.values == [2, None, 0]
 
 
 def test_max_matches_oracle_exhaustive_small():
     for f in exhaustive_families(max_n=3, max_m=3):
-        maxes, lf = fast_max(f)
-        assert maxes == max_oracle(f, lf), f.sets
+        maxes = fast_max(f)
+        assert maxes == max_oracle(f, f.lf), f.sets
 
 
 def test_max_matches_oracle_random():
     rng = seeded_rng(99)
     for _ in range(300):
         f = random_family(rng, max_n=20, max_m=25)
-        maxes, lf = fast_max(f)
-        assert maxes == max_oracle(f, lf), f.sets
+        maxes = fast_max(f)
+        assert maxes == max_oracle(f, f.lf), f.sets
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_max_matches_oracle_property(seed):
     f = random_family(seeded_rng(seed), max_n=10, max_m=10)
-    maxes, lf = fast_max(f)
-    assert maxes == max_oracle(f, lf)
+    maxes = fast_max(f)
+    assert maxes == max_oracle(f, f.lf)
 
 
 def test_max_matches_replay_random():

@@ -5,7 +5,7 @@ import pytest
 
 import overlap.dgraph
 import overlap.oracle
-from overlap.family import lf_order, parse_family
+from overlap.family import parse_family
 from overlap.generate import gen_star
 from overlap.oracle import (DEFAULT_ORACLE_CAP, OracleCapExceeded,
                             max_oracle, oracle_cap, overlap_graph_full,
@@ -72,15 +72,15 @@ class TestFullGraph:
 class TestMaxOracle:
 
     def test_fam_a(self, fam_a):
-        assert max_oracle(fam_a, lf_order(fam_a)).values == [1, 0, 1, None]
+        assert max_oracle(fam_a, fam_a.lf).values == [1, 0, 1, None]
 
     def test_mutual_pair(self):
         f = make_family([0, 1], [1, 2])
-        assert max_oracle(f, lf_order(f)).values == [1, 0]
+        assert max_oracle(f, f.lf).values == [1, 0]
 
     def test_nested_chain(self):
         f = make_family([0], [0, 1], [0, 1, 2])
-        assert max_oracle(f, lf_order(f)).values == [None, None, None]
+        assert max_oracle(f, f.lf).values == [None, None, None]
 
     def test_order_as_plain_list(self, fam_a):
         # callers outside the package pass their own large-first order

@@ -17,3 +17,11 @@ def test_times_hold_every_layer_in_run_order_then_the_total(text):
     assert min(times.values()) >= 0
     assert math.isclose(sum(times[k] for k in LAYERS), times["total"],
                         rel_tol=1e-9)
+
+
+def test_layers_start_at_the_sl_lists_and_reuse_the_family_lf_order():
+    # the LF order is made once, by the family; the run makes no other
+    f = parse_family(FAM_A_TEXT)
+    res = run_pipeline(f)
+    assert LAYERS[0] == "sl_lists"
+    assert res.lf is res.family.lf is f.lf

@@ -2,7 +2,7 @@ import numpy as np
 
 from overlap.dgraph import (UnionFind, build_dgraph, covers,
                             dedup_sorted_pairs)
-from overlap.family import build_sl_lists, lf_order, parse_family
+from overlap.family import build_sl_lists, parse_family
 from overlap.maxcomp import (Bounds, MaxAssignment, compute_bounds,
                              compute_max, compute_pf)
 from overlap.oracle import overlap_graph_full, overlaps
@@ -14,12 +14,11 @@ from test_dgraph import running_max_dgraph
 
 
 def stages(f):
-    lf = lf_order(f)
-    sl = build_sl_lists(f, lf)
-    pf = compute_pf(f, lf, sl)
+    sl = build_sl_lists(f)
+    pf = compute_pf(f, sl)
     bounds = compute_bounds(f, pf)
-    maxes = compute_max(f, lf, pf, bounds)
-    return lf, sl, pf, bounds, maxes
+    maxes = compute_max(f, pf, bounds)
+    return sl, pf, bounds, maxes
 
 
 def collect(f, sl, maxes, bounds):
@@ -46,7 +45,7 @@ def resolve(pf, sl, bounds, left, right, x, y, mx):
 class TestQuintuples:
 
     def test_fam_a_base_edges(self, fam_a):
-        _, sl, _, bounds, maxes = stages(fam_a)
+        sl, _, bounds, maxes = stages(fam_a)
         base, lq1 = collect(fam_a, sl, maxes, bounds)
         assert base == [(0, 1), (1, 2)]
         # SL tie-break puts X3 before X2 on SL(3), so the interval head
@@ -57,7 +56,7 @@ class TestQuintuples:
         # A={a,b}, B={b,c}, C={b,d}: on SL(b) = [C, B, A] the head C
         # covers B, and B is neither C nor Max(C)=A
         f = make_family(["a", "b"], ["b", "c"], ["b", "d"])
-        _, sl, _, bounds, maxes = stages(f)
+        sl, _, bounds, maxes = stages(f)
         base, lq1 = collect(f, sl, maxes, bounds)
         assert maxes.values == [1, 0, 0]
         assert [q[2:] for q in lq1] == [(2, 1, 0)]
@@ -65,13 +64,13 @@ class TestQuintuples:
 
     def test_disjoint_empty(self):
         f = make_family([0, 1], [2, 3])
-        _, sl, _, bounds, maxes = stages(f)
+        sl, _, bounds, maxes = stages(f)
         base, lq1 = collect(f, sl, maxes, bounds)
         assert base == [] and lq1 == []
 
     def test_nested_chain_empty(self):
         f = make_family([0], [0, 1], [0, 1, 2])
-        _, sl, _, bounds, maxes = stages(f)
+        sl, _, bounds, maxes = stages(f)
         base, lq1 = collect(f, sl, maxes, bounds)
         assert base == [] and lq1 == []
 
@@ -79,7 +78,7 @@ class TestQuintuples:
         rng = seeded_rng(17)
         for _ in range(100):
             f = random_family(rng, max_n=15, max_m=20)
-            _, sl, _, bounds, maxes = stages(f)
+            sl, _, bounds, maxes = stages(f)
             base, lq1 = collect(f, sl, maxes, bounds)
             assert len(base) <= f.m
             assert len(lq1) <= f.total_size
@@ -94,24 +93,24 @@ class TestResolve:
     def test_fam_a_manual_quintuple(self, fam_a):
         # (l=1, r=3, X2, X3, X1): P_f position 1 holds "3" (in X3) and
         # position 3 holds "2" (not in X3), so the edge is (X2, X3)
-        _, sl, pf, bounds, _ = stages(fam_a)
+        sl, pf, bounds, _ = stages(fam_a)
         assert resolve(pf, sl, bounds, 1, 3, 1, 2, 0) == [(1, 2)]
 
     def test_phase1_short_circuit(self, fam_a):
         # position 2 holds "1" which X3 misses: edge (X, Y) immediately
-        _, sl, pf, bounds, _ = stages(fam_a)
+        sl, pf, bounds, _ = stages(fam_a)
         assert resolve(pf, sl, bounds, 2, 3, 1, 2, 0) == [(1, 2)]
 
     def test_both_members_fall_back_to_max(self, fam_a):
         # X4 contains every element, so its quintuple resolves to (Y, M)
-        _, sl, pf, bounds, _ = stages(fam_a)
+        sl, pf, bounds, _ = stages(fam_a)
         assert resolve(pf, sl, bounds, 1, 3, 1, 3, 0) == [(0, 3)]
 
 
 class TestSubgraph:
 
     def test_fam_a_edges(self, fam_a):
-        lf, sl, pf, bounds, maxes = stages(fam_a)
+        sl, pf, bounds, maxes = stages(fam_a)
         g = build_overlap_subgraph(fam_a, sl, maxes, bounds, pf,
                                    lambda _: None)
         assert g.edges == [(0, 1), (1, 2)]
@@ -213,7 +212,7 @@ def test_quintuples_match_stack_scan_random():
     rng = seeded_rng(37)
     for _ in range(200):
         f = random_family(rng, max_n=15, max_m=20)
-        _, sl, _, bounds, maxes = stages(f)
+        sl, _, bounds, maxes = stages(f)
         _, lq1 = collect(f, sl, maxes, bounds)
         assert [q[2:4] for q in lq1] == stack_quintuples(f, sl, maxes)
 
@@ -267,7 +266,7 @@ def test_covers_match_stack_scan_on_long_lists():
     beyond = whole = 0
     for _ in range(30):
         f = hub_family(rng)
-        _, sl, _, bounds, maxes = stages(f)
+        sl, _, bounds, maxes = stages(f)
         covered, by = covers(f, sl, maxes)
         pairs = stack_covers(f, sl, maxes)
         assert list(zip(covered.tolist(), by.tolist())) == pairs
