@@ -18,7 +18,8 @@ The true subgraph (subgraph.py) turns each cover into an overlap edge.
 Both graphs are SetGraphs. This module also holds the one
 spanning-forest routine (spanning_edges, spanning_forest) and the
 pipeline's one grouping of sets into classes, SpanningForest, which
-orders the sets and the tree edges by class with family.sort_order. The
+names and orders the classes with one family.sort_groups of each set's
+smallest class member and orders the tree edges by class. The
 oracle groups its classes on its own and shares only UnionFind, which
 the pipeline does not run.
 """
@@ -27,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .family import segments, sort_order
+from .family import segments, sort_groups, sort_order
 from .maxcomp import window_levels
 
 __all__ = ["UnionFind", "SetGraph", "SpanningForest", "build_dgraph", "covers",
@@ -173,22 +174,19 @@ class SpanningForest:
 
     def __init__(self, root, a, b):
         m = len(root)
-        ids = np.arange(m, dtype=np.int32)
         smallest = np.full(m, m, dtype=np.int32)
-        np.minimum.at(smallest, root, ids)
-        smallest = smallest[root]  # per set, the smallest set of its class
-        self.class_id = (np.cumsum(smallest == ids, dtype=np.int32)
-                         - 1)[smallest]
-        self.order = sort_order(self.class_id)[0].astype(np.int32)
-        sizes = np.bincount(self.class_id)
-        self.start = np.zeros(len(sizes) + 1, dtype=np.int32)
-        np.cumsum(sizes, out=self.start[1:])
+        np.minimum.at(smallest, root, np.arange(m, dtype=np.int32))
+        # the sets grouped by the smallest set of their class; the sort is
+        # stable, so each class lists its sets by index
+        order, _, new, self.class_id = sort_groups(smallest[root])
+        self.order = order.astype(np.int32)
+        self.start = np.flatnonzero(np.append(new, True)).astype(np.int32)
         tree = self.class_id[a]
         by_class = sort_order(tree)[0]
         self.a = a[by_class]
         self.b = b[by_class]
         self.edge_start = np.zeros_like(self.start)
-        np.cumsum(np.bincount(tree, minlength=len(sizes)),
+        np.cumsum(np.bincount(tree, minlength=len(self.start) - 1),
                   out=self.edge_start[1:])
 
     @cached_property
@@ -277,8 +275,8 @@ def covers(f, sl, maxes):
     if len(q):
         by = _nearest_cover(reach, need, q,
                             int(np.diff(sl.offsets).max()) - 2)
-        hit = np.flatnonzero(by >= 0)
-        q, by = q[hit], by[hit]
+        # a walk that found nothing returns a negative index, below the
+        # head of every list, so this one filter drops it too
         hit = by >= sl.offsets[np.searchsorted(sl.offsets, q, "right") - 1]
         q, by = q[hit], by[hit]
         near[q - 1] = True

@@ -14,8 +14,9 @@ sort_order is the one sort kernel of the package: every ordering made
 here and in maxcomp and dgraph packs each key with its index into one
 int64 and sorts those with np.sort. A key whose span needs more bits
 than the index leaves of 63 takes two such passes, low bits first, then
-stably the high bits. sort_groups also marks where each run of equal
-keys starts.
+stably the high bits. sort_groups also names each run of equal keys:
+every key gets the dense id of its run, and no other code numbers
+groups.
 """
 
 from functools import cached_property
@@ -97,12 +98,17 @@ def sort_order(key):
 
 
 def sort_groups(key):
-    """sort_order's order and sorted keys, and per sorted entry whether
-    it differs from the entry before it (True for the first)."""
+    """sort_order's order and sorted keys, per sorted entry whether it
+    differs from the entry before it (True for the first), and name: per
+    key, in input order, the int32 dense id of its run of equal keys, 0
+    for the smallest key."""
     order, key = sort_order(key)
     new = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=new[1:])
-    return order, key, new
+    name = np.empty(len(key), dtype=np.int32)
+    name[order] = np.cumsum(new, dtype=np.int32)
+    name -= 1
+    return order, key, new, name
 
 
 class SetFamily:
@@ -358,9 +364,7 @@ def _wide_names(data, read, start, length):
         cut = np.stack((start[live] + done, start[live] + length[live]), 1)
         name[live] = [top + tails.setdefault((w, data[a:b]), len(tails))
                       for w, (a, b) in zip(was, cut.tolist())]
-    order, _, first = sort_groups(name)
-    dense = np.empty(len(name), dtype=np.uint64)
-    dense[order] = np.cumsum(first) - 1
+    order, _, first, dense = sort_groups(name)
     return dense, order[first]
 
 
@@ -379,7 +383,7 @@ def _token_keys(data, start, length):
     del short
     wide = np.flatnonzero(length >= 8)
     names, first = _wide_names(data, read, start[wide], length[wide])
-    key[wide] = names + _LENGTH_BIT[8]
+    key[wide] = names.astype(np.uint64) + _LENGTH_BIT[8]
     first = wide[first]
     return key.view(np.int64), [data[a:a + n] for a, n in zip(
         start[first].tolist(), length[first].tolist())]
@@ -414,9 +418,10 @@ def parse_family(source):
 
     The bytes are split with numpy, with no Python loop over lines or
     tokens. Tokens are interned by sort_groups of their keys
-    (_token_keys): it groups equal tokens and, being stable, puts each
-    group's first appearance first; a sort_order of those first places
-    numbers the groups in order of appearance.
+    (_token_keys): it names the groups of equal tokens and, being
+    stable, puts each group's first appearance first. Those first places
+    are distinct, so a sort_groups of them names each group by its rank
+    in order of appearance, and that call's order lists the groups so.
     """
     data = _utf8(source)
     b = np.frombuffer(data, dtype=np.uint8)
@@ -444,18 +449,13 @@ def parse_family(source):
         del keep
     key, wide = _token_keys(data, start, length)
     del data, b, start, length
-    order, key, first = sort_groups(key)
+    order, key, first, group = sort_groups(key)
     tokens = _decode(key[first], wide)
     del key
-    group = np.cumsum(first, dtype=np.int32)
-    group -= 1
-    by_first = sort_order(order[first])[0]
-    del first
-    rank = np.empty(len(by_first), dtype=np.int32)
-    rank[by_first] = np.arange(len(by_first), dtype=np.int32)
-    ids = np.empty(len(order), dtype=np.int32)
-    ids[order] = rank[group]
-    del order, group
+    by_first, _, _, rank = sort_groups(order[first])
+    del order, first
+    ids = rank[group]
+    del group
     if skipped:
         ids = ids[owner == 0]
     del owner

@@ -144,10 +144,7 @@ def _name_round(names, first, length, k):
     # a 0's key, 0 * (max + 1) + names[0], is below every block's
     key = names[left] * np.int64(int(names.max()) + 1)
     key += names[left + 1]
-    order, _, new = sort_groups(key)
-    names = np.empty(len(order), dtype=np.int32)
-    names[order] = np.cumsum(new, dtype=np.int32) - 1
-    return start, names, left
+    return start, sort_groups(key)[3], left
 
 
 def _rank_round(rank, cols, name, keep):
@@ -164,7 +161,7 @@ def _rank_round(rank, cols, name, keep):
     and returns per split the later group's rank and the two columns
     around the split.
     """
-    order, _, new = sort_groups(name)
+    order, _, new, _ = sort_groups(name)
     at = cols[order]
     was = rank[at]
     i = np.arange(len(at))

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
 import overlap.dgraph
-from overlap.dgraph import (SetGraph, build_dgraph, dedup_sorted_pairs,
-                            spanning_forest)
+from overlap.dgraph import (SetGraph, SpanningForest, build_dgraph,
+                            dedup_sorted_pairs, spanning_forest)
 from overlap.family import build_sl_lists, parse_family
 from overlap.generate import gen_nested
 from overlap.maxcomp import compute_bounds, compute_max, compute_pf
@@ -68,6 +69,60 @@ class TestComponents:
     def test_ids_by_smallest_member(self):
         lab = spanning_forest(graph(4, [(2, 3)]))
         assert lab.class_id.tolist() == [0, 1, 2, 2]
+
+
+def reference_forest(root, a, b):
+    """The classes of root (sets sharing a representative), each sorted,
+    ordered by smallest member; per set its class; and the edges (a, b)
+    grouped by class, in their given order within a class."""
+    members = {}
+    for i, r in enumerate(root):
+        members.setdefault(r, []).append(i)
+    classes = sorted(members.values())
+    class_of = {i: k for k, c in enumerate(classes) for i in c}
+    edges = sorted(zip(a, b), key=lambda e: class_of[e[0]])
+    return classes, [class_of[i] for i in range(len(root))], edges
+
+
+def random_partition(rng, m, pick):
+    """root for a random partition of m sets whose representatives are
+    the largest member of each class or, with pick "random", a random
+    member; and sorted distinct edges within the classes."""
+    label = rng.integers(0, rng.integers(1, m + 1), m)
+    root = np.empty(m, dtype=np.int32)
+    for c in np.unique(label):
+        member = np.flatnonzero(label == c)
+        root[member] = member[-1] if pick == "largest" else rng.choice(member)
+    pairs = rng.integers(0, m, (3 * m, 2))
+    pairs = pairs[label[pairs[:, 0]] == label[pairs[:, 1]]]
+    edges = sorted({(min(x, y), max(x, y)) for x, y in pairs.tolist()
+                    if x != y})
+    a, b = np.array(edges, dtype=np.int32).reshape(-1, 2).T
+    return root, a, b
+
+
+@pytest.mark.parametrize("pick", ["largest", "random"])
+def test_spanning_forest_groups_like_reference(pick):
+    rng = np.random.default_rng(13)
+    for m in list(range(1, 12)) + [50, 200, 1000]:
+        root, a, b = random_partition(rng, m, pick)
+        fo = SpanningForest(root, a, b)
+        classes, class_id, edges = reference_forest(
+            root.tolist(), a.tolist(), b.tolist())
+        for arr in (fo.class_id, fo.order, fo.start, fo.a, fo.b,
+                    fo.edge_start):
+            assert arr.dtype == np.int32
+        assert fo.class_id.tolist() == class_id
+        assert fo.order.tolist() == [i for c in classes for i in c]
+        assert fo.start.tolist() == np.cumsum(
+            [0] + [len(c) for c in classes]).tolist()
+        assert fo.classes == classes
+        assert fo.roots == [c[0] for c in classes]
+        assert list(zip(fo.a.tolist(), fo.b.tolist())) == edges
+        per_class = np.bincount([class_id[x] for x, _ in edges],
+                                minlength=len(classes))
+        assert fo.edge_start.tolist() == np.cumsum(
+            np.append(0, per_class)).tolist()
 
 
 def test_components_match_oracle_random():

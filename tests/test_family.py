@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import overlap.family
 from overlap.family import (UNICODE_SPACES, FamilyFormatError, SetFamily,
                             build_sl_lists, parse_family, segments,
-                            sort_order)
+                            sort_groups, sort_order)
 from overlap.generate import gen_nested
 from overlap.pipeline import run_pipeline
 
@@ -572,3 +572,35 @@ class TestSortOrder:
                     max_size=60))
     def test_any_int64_keys(self, values):
         assert_sorts_like_stable_argsort(np.array(values, dtype=np.int64))
+
+
+def assert_names_runs(key):
+    """sort_groups names each key by the rank of its value among the
+    distinct values, and the names step up by one exactly at each run."""
+    order, _, new, name = sort_groups(key)
+    assert name.dtype == np.int32
+    assert name.tolist() == np.unique(key, return_inverse=True)[1].tolist()
+    assert np.diff(name[order], prepend=-1).tolist() == new.tolist()
+
+
+class TestSortGroups:
+
+    def test_random_keys_with_ties(self):
+        rng = np.random.default_rng(9)
+        for n in (2, 3, 17, 1000, 5000):
+            for lo, hi in ((0, 1), (-5, 5), (-10**12, -10**12 + 40)):
+                assert_names_runs(rng.integers(lo, hi, n, endpoint=True))
+
+    def test_full_int64_range_in_two_passes(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        key = rng.choice(np.array([np.iinfo(np.int64).min, -1, 0, 5,
+                                   np.iinfo(np.int64).max]), 3000)
+        calls = count_passes(monkeypatch)
+        assert_names_runs(key)
+        assert calls == [3000, 3000]
+
+    def test_one_key_and_none(self):
+        for key in (np.array([-7]), np.array([np.iinfo(np.int64).max]),
+                    np.zeros(0, dtype=np.int64)):
+            assert_names_runs(key)
+        assert sort_groups(np.array([3]))[3].tolist() == [0]
