@@ -98,14 +98,19 @@ def sort_order(key):
 
 
 def sort_groups(key):
-    """sort_order's order and sorted keys, per sorted entry whether it
-    differs from the entry before it (True for the first), and name: per
-    key, in input order, the int32 dense id of its run of equal keys, 0
-    for the smallest key."""
+    """sort_order's order, the distinct keys in increasing order, per
+    sorted entry whether it differs from the entry before it (True for
+    the first), and name: per key, in input order, the int32 dense id of
+    its run of equal keys, 0 for the smallest key.
+
+    The sorted keys are dropped before the names are made, so this
+    peaks no higher than sort_order did.
+    """
     order, key = sort_order(key)
     new = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=new[1:])
-    name = np.empty(len(key), dtype=np.int32)
+    key = key[new]
+    name = np.empty(len(new), dtype=np.int32)
     name[order] = np.cumsum(new, dtype=np.int32)
     name -= 1
     return order, key, new, name
@@ -450,7 +455,7 @@ def parse_family(source):
     key, wide = _token_keys(data, start, length)
     del data, b, start, length
     order, key, first, group = sort_groups(key)
-    tokens = _decode(key[first], wide)
+    tokens = _decode(key, wide)
     del key
     by_first, _, _, rank = sort_groups(order[first])
     del order, first

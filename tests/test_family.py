@@ -576,8 +576,10 @@ class TestSortOrder:
 
 def assert_names_runs(key):
     """sort_groups names each key by the rank of its value among the
-    distinct values, and the names step up by one exactly at each run."""
-    order, _, new, name = sort_groups(key)
+    distinct values, which it returns, and the names step up by one
+    exactly at each run."""
+    order, distinct, new, name = sort_groups(key)
+    assert distinct.tolist() == np.unique(key).tolist()
     assert name.dtype == np.int32
     assert name.tolist() == np.unique(key, return_inverse=True)[1].tolist()
     assert np.diff(name[order], prepend=-1).tolist() == new.tolist()
@@ -603,4 +605,3 @@ class TestSortGroups:
         for key in (np.array([-7]), np.array([np.iinfo(np.int64).max]),
                     np.zeros(0, dtype=np.int64)):
             assert_names_runs(key)
-        assert sort_groups(np.array([3]))[3].tolist() == [0]
