@@ -103,8 +103,8 @@ def sort_groups(key):
     the first), and name: per key, in input order, the int32 dense id of
     its run of equal keys, 0 for the smallest key.
 
-    The sorted keys are dropped before the names are made, so this
-    peaks no higher than sort_order did.
+    The sorted keys are dropped before the names are made, so the names
+    take their place in memory.
     """
     order, key = sort_order(key)
     new = np.ones(len(key), dtype=bool)
