@@ -8,7 +8,7 @@ a spanning forest of the classes.
 """
 
 from .dgraph import (SetGraph, SpanningForest, UnionFind, build_dgraph, covers,
-                     dedup_sorted_pairs, spanning_edges, spanning_forest)
+                     spanning_edges, spanning_forest)
 from .family import (FamilyFormatError, LFOrder, SetFamily, SLLists,
                      build_sl_lists, parse_family)
 from .generate import (gen_blocks, gen_nested, gen_random, gen_random_sets,

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .dgraph import UnionFind
 from .family import FamilyFormatError, SetFamily, parse_family
 from .generate import (gen_blocks, gen_nested, gen_random_lines,
                        gen_random_sets, gen_star)
-from .oracle import OracleCapExceeded, max_oracle, overlap_graph_full, overlaps
+from .oracle import OracleCapExceeded, max_oracle, overlap_graph_full
 from .pipeline import LAYERS, run_pipeline
 
 __all__ = ["main", "entry", "bench_rows", "render", "verify_result"]
@@ -32,7 +33,8 @@ RENDER_PLACES = 1 << 15
 
 
 def _label(i):
-    return "X%d" % (i + 1)
+    """Set i's name in a report; none for no set."""
+    return "none" if i is None else "X%d" % (i + 1)
 
 
 def _fail(exc, code):
@@ -161,42 +163,36 @@ def _write_json(res, with_forest, out):
     out.write("]}\n")
 
 
-def _dot(name, m, a, b, out):
+def _write_text(res, command, out):
+    """The text format of command: each set's class, each set's Max, the
+    subgraph's edges or the forest's trees, 1-based."""
+    if command == "classes":
+        class_id = res.labeling.class_id
+        out.write(render(("X%d %d\n",), None, _numbers(len(class_id)),
+                         class_id))
+    elif command == "max":
+        mx = res.maxes.partners
+        # each set, then its Max unless it has none (-1)
+        out.write(render(("X%d -> X%d\n", "X%d -> none\n"), mx < 0,
+                         _numbers(len(mx)), mx + 1))
+    elif command == "subgraph":
+        out.write(render(("X%d X%d\n",), None, res.subgraph.a + 1,
+                         res.subgraph.b + 1))
+    else:
+        out.write(_trees(res, ("tree X%d: ", "tree X%d: \n", "X%d-X%d ",
+                               "X%d-X%d\n")))
+
+
+def _write_dot(res, command, out):
+    """The subgraph or, for command forest, the forest as a DOT graph."""
+    if command == "subgraph":
+        name, g = "overlap_subgraph", res.subgraph
+    else:
+        name, g = "spanning_forest", res.forest
     out.write("graph %s {\n" % name)
-    out.write(render(("  X%d;\n",), None, _numbers(m)))
-    out.write(render(("  X%d -- X%d;\n",), None, a + 1, b + 1))
+    out.write(render(("  X%d;\n",), None, _numbers(res.family.m)))
+    out.write(render(("  X%d -- X%d;\n",), None, g.a + 1, g.b + 1))
     out.write("}\n")
-
-
-def _write_classes(res, out):
-    class_id = res.labeling.class_id
-    out.write(render(("X%d %d\n",), None, _numbers(len(class_id)), class_id))
-
-
-def _write_max(res, out):
-    mx = res.maxes.partners
-    # each set, then its Max unless it has none (-1)
-    out.write(render(("X%d -> X%d\n", "X%d -> none\n"), mx < 0,
-                     _numbers(len(mx)), mx + 1))
-
-
-def _write_subgraph(res, out):
-    out.write(render(("X%d X%d\n",), None, res.subgraph.a + 1,
-                     res.subgraph.b + 1))
-
-
-def _write_forest(res, out):
-    out.write(_trees(res, ("tree X%d: ", "tree X%d: \n", "X%d-X%d ",
-                           "X%d-X%d\n")))
-
-
-def _dot_subgraph(res, out):
-    _dot("overlap_subgraph", res.family.m, res.subgraph.a, res.subgraph.b,
-         out)
-
-
-def _dot_forest(res, out):
-    _dot("spanning_forest", res.family.m, res.forest.a, res.forest.b, out)
 
 
 def cmd_family(args, out):
@@ -204,73 +200,64 @@ def cmd_family(args, out):
     as DOT, JSON or the command's text format."""
     res = run_pipeline(_load(args.file))
     if args.dot:
-        args.dot(res, out)
+        _write_dot(res, args.command, out)
     elif args.json:
         _write_json(res, args.command == "forest", out)
     else:
-        args.write(res, out)
+        _write_text(res, args.command, out)
     return 0
 
 
 def verify_result(res, full, oracle_max):
-    """Compare a pipeline result against the oracle; returns (ok, report lines)."""
-    lines = []
-    ok = True
+    """Compare a pipeline result against the oracle; returns (ok, report lines).
 
+    Each of the four checks lists its faults. Its section of the report
+    is "name: <ok text>" when it has none, else "name: MISMATCH" and
+    the fault lines; ok means no check has a fault.
+    """
     fast = res.labeling.as_partition()
     slow = full.labeling.as_partition()
-    if fast == slow:
-        lines.append("classes: ok (%d classes)" % len(slow))
-    else:
-        ok = False
-        lines.append("classes: MISMATCH")
-        for c in sorted(map(sorted, fast - slow)):
-            lines.append("  fast only: {%s}" % ", ".join(_label(i) for i in c))
-        for c in sorted(map(sorted, slow - fast)):
-            lines.append("  oracle only: {%s}" % ", ".join(_label(i) for i in c))
+    class_faults = []
+    for side, extra in (("fast", fast - slow), ("oracle", slow - fast)):
+        class_faults += ["  %s only: {%s}" % (side, ", ".join(map(_label, c)))
+                         for c in sorted(map(sorted, extra))]
 
-    if res.maxes.values == oracle_max.values:
-        lines.append("max: ok")
-    else:
-        ok = False
-        lines.append("max: MISMATCH")
-        for i, (a, b) in enumerate(zip(res.maxes.values, oracle_max.values)):
-            if a != b:
-                lines.append("  %s: fast %s oracle %s" % (
-                    _label(i),
-                    "none" if a is None else _label(a),
-                    "none" if b is None else _label(b)))
+    max_faults = ["  %s: fast %s oracle %s" % (_label(i), _label(a), _label(b))
+                  for i, (a, b) in enumerate(zip(res.maxes.values,
+                                                 oracle_max.values))
+                  if a != b]
 
-    sets = res.family.as_frozensets()
-    bad = [(a, b) for a, b in res.subgraph.edges if not overlaps(sets[a], sets[b])]
-    if not bad:
-        lines.append("subgraph: ok (%d edges, all overlaps)" % len(res.subgraph.edges))
-    else:
-        ok = False
-        lines.append("subgraph: MISMATCH")
-        for a, b in bad:
-            lines.append("  non-overlap edge %s %s" % (_label(a), _label(b)))
+    # every subgraph edge is a pair the oracle found overlapping
+    overlapping = set(full.edges)
+    edges = res.subgraph.edges
+    edge_faults = ["  non-overlap edge %s %s" % (_label(a), _label(b))
+                   for a, b in edges if (a, b) not in overlapping]
 
     # each tree spans its class: |class| - 1 subgraph edges inside it, each
     # joining two parts not yet joined (the classes are disjoint, so one
     # union-find serves every tree)
-    edges = set(res.subgraph.edges)
+    in_subgraph = set(edges)
     uf = UnionFind(res.family.m)
     forest = res.forest
     class_id = forest.class_id.tolist()
-    bad = [root for k, (root, members, tree) in enumerate(zip(
-               forest.roots, forest.members, forest.tree_edges))
-           if len(tree) != len(members) - 1
-           or not all(class_id[a] == class_id[b] == k and (a, b) in edges
-                      and uf.union(a, b) for a, b in tree)]
-    if not bad:
-        lines.append("forest: ok (%d trees)" % len(forest.roots))
-    else:
-        ok = False
-        lines.append("forest: MISMATCH")
-        for root in bad:
-            lines.append("  bad tree of %s" % _label(root))
-    return ok, lines
+    tree_faults = ["  bad tree of %s" % _label(root)
+                   for k, (root, members, tree) in enumerate(zip(
+                       forest.roots, forest.members, forest.tree_edges))
+                   if len(tree) != len(members) - 1
+                   or not all(class_id[a] == class_id[b] == k
+                              and (a, b) in in_subgraph and uf.union(a, b)
+                              for a, b in tree)]
+
+    checks = (("classes", "ok (%d classes)" % len(slow), class_faults),
+              ("max", "ok", max_faults),
+              ("subgraph", "ok (%d edges, all overlaps)" % len(edges),
+               edge_faults),
+              ("forest", "ok (%d trees)" % len(forest.roots), tree_faults))
+    lines = []
+    for check, ok_text, faults in checks:
+        lines.append("%s: %s" % (check, "MISMATCH" if faults else ok_text))
+        lines.extend(faults)
+    return not any(faults for _, _, faults in checks), lines
 
 
 def cmd_verify(args, out):
@@ -282,7 +269,10 @@ def cmd_verify(args, out):
     except ValueError as exc:  # OVERLAP_ORACLE_CAP is not an integer
         _fail(exc, 2)
     res = run_pipeline(f)
-    ok, lines = verify_result(res, full, max_oracle(f, res.lf))
+    # the oracle's own large-first order: a stable sort by decreasing size
+    sizes = f.sizes.tolist()
+    lf = SimpleNamespace(order=sorted(range(f.m), key=lambda i: -sizes[i]))
+    ok, lines = verify_result(res, full, max_oracle(f, lf))
     for line in lines:
         out.write(line + "\n")
     out.write("PASS\n" if ok else "FAIL\n")
@@ -405,21 +395,17 @@ def build_parser():
         description="Identify overlap classes of a set family in linear time.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family_cmd(name, help_, write, dot=None):
+    for name, help_ in (
+            ("classes", "overlap class of every set"),
+            ("max", "Max partner of every set"),
+            ("subgraph", "linear-size subgraph of the overlap graph"),
+            ("forest", "spanning forest of the overlap classes")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("file", help="family input file")
         p.add_argument("--json", action="store_true", help="JSON output")
-        if dot:
-            p.add_argument("--dot", action="store_const", const=dot,
-                           help="DOT output")
-        p.set_defaults(func=cmd_family, write=write, dot=None)
-
-    add_family_cmd("classes", "overlap class of every set", _write_classes)
-    add_family_cmd("max", "Max partner of every set", _write_max)
-    add_family_cmd("subgraph", "linear-size subgraph of the overlap graph",
-                   _write_subgraph, _dot_subgraph)
-    add_family_cmd("forest", "spanning forest of the overlap classes",
-                   _write_forest, _dot_forest)
+        if name in ("subgraph", "forest"):
+            p.add_argument("--dot", action="store_true", help="DOT output")
+        p.set_defaults(func=cmd_family, dot=False)
 
     p = sub.add_parser("verify", help="differential check against the brute-force oracle")
     p.add_argument("file")

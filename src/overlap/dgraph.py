@@ -32,31 +32,11 @@ from .family import segments, sort_groups, sort_order
 from .maxcomp import window_levels
 
 __all__ = ["UnionFind", "SetGraph", "SpanningForest", "build_dgraph", "covers",
-           "dedup_sorted_pairs", "spanning_edges", "spanning_forest"]
+           "spanning_edges", "spanning_forest"]
 
 
 def _pairs(a, b):
     return list(zip(a.tolist(), b.tolist()))
-
-
-def dedup_sorted_pairs(ea, eb, m):
-    """Sort parallel endpoint arrays lexicographically and drop duplicates.
-
-    Endpoints are packed into int64 keys a * m + b (well inside 63 bits
-    for any family that fits in memory), sorted, and every key equal to
-    its predecessor dropped. np.unique would do the same, but on integer
-    input recent numpy takes a hash-based path that measured about 60
-    times slower than the sort on 4M keys. Returns the pairs as two int32
-    arrays.
-    """
-    keys = np.asarray(ea, dtype=np.int64) * m + np.asarray(eb, dtype=np.int64)
-    keys.sort()
-    keep = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    keys = keys[keep]
-    b = (keys % m).astype(np.int32)
-    keys //= m
-    return keys.astype(np.int32), b
 
 
 class UnionFind:
@@ -141,16 +121,32 @@ def spanning_edges(ea, eb, m):
 class SetGraph:
     """A graph over m sets: deduplicated, sorted edges (i, j) with i < j.
 
-    a and b are the int32 endpoint arrays and raw_edge_count the number
-    of edges made before deduplication. edges gives the same pairs as a
-    list of tuples, built on first access.
+    Built from the raw endpoint arrays ea and eb, integer arrays whose
+    pairs (ea[k], eb[k]) may have either end first and may repeat. Each
+    pair becomes the int64 key min * m + max (well inside 63 bits for
+    any family that fits in memory); the keys are sorted and every key
+    equal to its predecessor dropped. np.unique would do the same, but
+    on integer input recent numpy takes a hash-based path that measured
+    about 60 times slower than the sort on 4M keys.
+
+    a and b are the int32 endpoint arrays and raw_edge_count = len(ea),
+    the number of pairs before deduplication. edges gives the same
+    pairs as a list of tuples, built on first access.
     """
 
-    def __init__(self, m, a, b, raw_edge_count):
+    def __init__(self, m, ea, eb):
         self.m = m
-        self.a = a
-        self.b = b
-        self.raw_edge_count = raw_edge_count
+        self.raw_edge_count = len(ea)
+        keys = np.minimum(ea, eb, dtype=np.int64)
+        keys *= m
+        keys += np.maximum(ea, eb)
+        keys.sort()
+        keep = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+        self.b = (keys % m).astype(np.int32)
+        keys //= m
+        self.a = keys.astype(np.int32)
 
     @cached_property
     def edges(self):
@@ -293,7 +289,4 @@ def build_dgraph(f, sl, maxes):
     if len(j) > f.total_size:
         raise AssertionError(
             "created %d edges for |F| = %d" % (len(j), f.total_size))
-    prev = sl.flat[j - 1]
-    cur = sl.flat[j]
-    a, b = dedup_sorted_pairs(np.minimum(prev, cur), np.maximum(prev, cur), f.m)
-    return SetGraph(f.m, a, b, len(j))
+    return SetGraph(f.m, sl.flat[j - 1], sl.flat[j])

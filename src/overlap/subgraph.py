@@ -12,14 +12,14 @@ Quintuples and edge endpoints are kept as flat parallel numpy arrays.
 
 import numpy as np
 
-from .dgraph import SetGraph, covers, dedup_sorted_pairs
+from .dgraph import SetGraph, covers
 
 __all__ = ["build_overlap_subgraph"]
 
 
 def _collect(f, sl, maxes):
-    """Base edge endpoints (with duplicates) and quintuples, all as
-    parallel arrays.
+    """Base edge endpoints (each set with a Max and its Max, so each
+    pair up to twice) and quintuples, all as parallel arrays.
 
     A covered SL entry Z other than Max(X) yields one quintuple against
     the entry X that covers it: the nearest earlier entry of its list
@@ -28,12 +28,10 @@ def _collect(f, sl, maxes):
     """
     mx = maxes.partners
     has = np.flatnonzero(mx >= 0).astype(np.int32)
-    ea = np.minimum(has, mx[has])
-    eb = np.maximum(has, mx[has])
     covered, by = covers(f, sl, maxes)
     qx, qy = sl.flat[by], sl.flat[covered]
     keep = qy != mx[qx]
-    return ea, eb, qx[keep], qy[keep]
+    return has, mx[has], qx[keep], qy[keep]
 
 
 def _holds(pf, sl, ly, ry, pos, y):
@@ -56,7 +54,7 @@ def _resolve(pf, sl, bounds, maxes, qx, qy):
     If Y misses the element at position left(X), or misses the element
     at position right(X), Y overlaps X; otherwise Y overlaps Max(X).
     Both phases are one batched membership test each, the second only
-    for the rows the first kept. Returns the edge endpoints, smaller
+    for the rows the first kept. Returns the edge endpoints, either end
     first, with duplicates.
     """
     ly, ry = bounds.left[qy], bounds.right[qy]
@@ -65,7 +63,7 @@ def _resolve(pf, sl, bounds, maxes, qx, qy):
     rows = rows[_holds(pf, sl, ly, ry, bounds.right[qx[rows]], qy[rows])]
     a = qx.copy()
     a[rows] = maxes.partners[qx[rows]]
-    return np.minimum(a, qy), np.maximum(a, qy)
+    return a, qy
 
 
 def build_overlap_subgraph(f, sl, maxes, bounds, pf, lap):
@@ -79,10 +77,8 @@ def build_overlap_subgraph(f, sl, maxes, bounds, pf, lap):
     lap("covers")
     ra, rb = _resolve(pf, sl, bounds, maxes, qx, qy)
     lap("resolve")
-    a, b = dedup_sorted_pairs(np.concatenate((ea, ra)),
-                              np.concatenate((eb, rb)), f.m)
-    if len(a) > f.m + f.total_size:
+    sub = SetGraph(f.m, np.concatenate((ea, ra)), np.concatenate((eb, rb)))
+    if len(sub.a) > f.m + f.total_size:
         raise AssertionError("subgraph exceeds the m + |F| edge bound")
-    sub = SetGraph(f.m, a, b, len(ea) + len(ra))
     lap("dedup")
     return sub

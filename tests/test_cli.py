@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import overlap.cli as cli
+import overlap.family
 from overlap.family import parse_family
 from overlap.generate import (gen_blocks, gen_nested, gen_random,
                               gen_random_sets, gen_star)
@@ -164,6 +165,47 @@ class TestVerify:
         assert code == 1
         assert "forest: MISMATCH\n  bad tree of X1\n" in out
         assert "subgraph: ok" in out
+        assert out.endswith("FAIL\n")
+
+    def test_report_sections_and_faults_in_order(self, fam_a_file,
+                                                 monkeypatch):
+        """A class, a Max and a tree fault: the sections come in the order
+        classes, max, subgraph, forest, each with its faults in order."""
+        real = cli.run_pipeline
+
+        def corrupt(f):
+            res = real(f)
+            res.labeling.classes = [[0, 1], [2], [3]]  # was [[0, 1, 2], [3]]
+            res.maxes.partners[0] = -1  # was X2
+            res.maxes.partners[3] = 0  # was none
+            return res
+
+        monkeypatch.setattr(cli, "run_pipeline", corrupt)
+        code, out = run_cli("verify", fam_a_file)
+        assert code == 1
+        assert out == ("classes: MISMATCH\n"
+                       "  fast only: {X1, X2}\n"
+                       "  fast only: {X3}\n"
+                       "  oracle only: {X1, X2, X3}\n"
+                       "max: MISMATCH\n"
+                       "  X1: fast none oracle X2\n"
+                       "  X4: fast X1 oracle none\n"
+                       "subgraph: ok (2 edges, all overlaps)\n"
+                       "forest: MISMATCH\n"
+                       "  bad tree of X1\n"
+                       "FAIL\n")
+
+    def test_max_against_the_oracles_own_order(self, tmp_path, monkeypatch):
+        """The oracle orders the sets itself, so a fault in the family's
+        LF order shows as a Max mismatch instead of on both sides."""
+        real = overlap.family.LFOrder
+        monkeypatch.setattr(overlap.family, "LFOrder",
+                            lambda order: real(order[::-1]))
+        path = tmp_path / "sizes2.txt"
+        path.write_text("a b\nb c\na c\nc d\n")
+        code, out = run_cli("verify", str(path))
+        assert code == 1
+        assert "max: MISMATCH\n" in out
         assert out.endswith("FAIL\n")
 
 
@@ -330,6 +372,14 @@ def test_bad_input_or_setting_exits_2(case, fam_a_file, tmp_path,
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["classes", "max"])
+def test_dot_only_on_subgraph_and_forest(command, fam_a_file, capsys):
+    code, out = run_cli(command, "--dot", fam_a_file)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --dot" in capsys.readouterr().err
 
 
 def test_bad_flag_returns_2(capsys):

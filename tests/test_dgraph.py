@@ -3,7 +3,7 @@ import pytest
 
 import overlap.dgraph
 from overlap.dgraph import (SetGraph, SpanningForest, build_dgraph,
-                            dedup_sorted_pairs, spanning_forest)
+                            spanning_forest)
 from overlap.family import build_sl_lists, parse_family
 from overlap.generate import gen_nested
 from overlap.maxcomp import compute_bounds, compute_max, compute_pf
@@ -24,7 +24,7 @@ def dahlhaus(f):
 
 def graph(m, edges):
     a, b = np.array(edges, dtype=np.int32).reshape(-1, 2).T
-    return SetGraph(m, a, b, len(edges))
+    return SetGraph(m, a, b)
 
 
 class TestBuild:
@@ -199,16 +199,21 @@ def test_result_keeps_no_sl_lists(fam_a):
     assert res.dgraph.edges == dahlhaus(fam_a).edges == [(0, 1), (1, 2)]
 
 
-def test_dedup_sorted_pairs_matches_set_sort():
+def test_set_graph_orients_sorts_and_dedups_raw_pairs():
     rng = seeded_rng(13)
-    cases = [([], [], 5), ([0], [0], 1)]
+    cases = [([], [], 5), ([0], [0], 1), ([4, 1, 3], [0, 2, 3], 5)]
     for m in (1, 2, 7, 50):
         k = rng.randint(1, 300)
         ea = [rng.randrange(m) for _ in range(k)]
         eb = [rng.randrange(m) for _ in range(k)]
-        # repeat a random half so duplicates are common
+        # repeat a random half, some of it reversed, so duplicates are common
         dup = rng.sample(range(k), k // 2)
-        cases.append((ea + [ea[i] for i in dup], eb + [eb[i] for i in dup], m))
+        flip = set(dup[::2])
+        cases.append((ea + [eb[i] if i in flip else ea[i] for i in dup],
+                      eb + [ea[i] if i in flip else eb[i] for i in dup], m))
     for ea, eb, m in cases:
-        a, b = dedup_sorted_pairs(ea, eb, m)
-        assert list(zip(a.tolist(), b.tolist())) == sorted(set(zip(ea, eb)))
+        g = SetGraph(m, np.array(ea, dtype=np.int32),
+                     np.array(eb, dtype=np.int32))
+        assert g.edges == sorted({(min(p), max(p)) for p in zip(ea, eb)})
+        assert g.raw_edge_count == len(ea)
+        assert g.a.dtype == g.b.dtype == np.int32

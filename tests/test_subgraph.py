@@ -1,7 +1,6 @@
 import numpy as np
 
-from overlap.dgraph import (UnionFind, build_dgraph, covers,
-                            dedup_sorted_pairs)
+from overlap.dgraph import SetGraph, UnionFind, build_dgraph, covers
 from overlap.family import build_sl_lists, parse_family
 from overlap.maxcomp import (Bounds, MaxAssignment, compute_bounds,
                              compute_max, compute_pf)
@@ -25,21 +24,22 @@ def collect(f, sl, maxes, bounds):
     """The deduplicated base edges, and each quintuple as a tuple
     (left, right, x, y, mx) with the bounds of x and its Max mx."""
     ea, eb, qx, qy = _collect(f, sl, maxes)
-    base = list(zip(*(e.tolist() for e in dedup_sorted_pairs(ea, eb, f.m))))
+    base = SetGraph(f.m, ea, eb).edges
     cols = (bounds.left[qx], bounds.right[qx], qx, qy, maxes.partners[qx])
     return base, list(zip(*(c.tolist() for c in cols)))
 
 
 def resolve(pf, sl, bounds, left, right, x, y, mx):
-    """The edges that the one quintuple (left, right, x, y, mx) gives:
-    x's bounds are taken as left and right, and its Max as mx."""
+    """The edges that the one quintuple (left, right, x, y, mx) gives,
+    smaller end first: x's bounds are taken as left and right, and its
+    Max as mx."""
     lo, hi = bounds.left.copy(), bounds.right.copy()
     lo[x], hi[x] = left, right
     partners = np.full(len(lo), -1, dtype=np.int32)
     partners[x] = mx
     a, b = _resolve(pf, sl, Bounds(lo, hi), MaxAssignment(partners),
                     np.array([x]), np.array([y]))
-    return list(zip(a.tolist(), b.tolist()))
+    return [(min(e), max(e)) for e in zip(a.tolist(), b.tolist())]
 
 
 class TestQuintuples:
