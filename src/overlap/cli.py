@@ -45,9 +45,11 @@ def _fail(exc, code):
 
 
 def _load(path):
+    """The family in the file at path. The parse reads the file itself,
+    so it can free the text before it ends."""
     try:
         with open(path, "rb") as fh:
-            return parse_family(fh.read())
+            return parse_family(fh)
     except (OSError, UnicodeDecodeError, FamilyFormatError) as exc:
         _fail(exc, 2)
 

@@ -123,11 +123,12 @@ class SetGraph:
 
     Built from the raw endpoint arrays ea and eb, integer arrays whose
     pairs (ea[k], eb[k]) may have either end first and may repeat. Each
-    pair becomes the int64 key min * m + max (well inside 63 bits for
-    any family that fits in memory); the keys are sorted and every key
-    equal to its predecessor dropped. np.unique would do the same, but
-    on integer input recent numpy takes a hash-based path that measured
-    about 60 times slower than the sort on 4M keys.
+    pair becomes the int64 key min << bits | max, bits being the bit
+    length of m - 1; the keys are sorted, every key equal to its
+    predecessor is dropped, and a mask and a shift read the ends back.
+    np.unique would do the same, but on integer input recent numpy takes
+    a hash-based path that measured about 60 times slower than the sort
+    on 4M keys.
 
     a and b are the int32 endpoint arrays and raw_edge_count = len(ea),
     the number of pairs before deduplication. edges gives the same
@@ -137,15 +138,18 @@ class SetGraph:
     def __init__(self, m, ea, eb):
         self.m = m
         self.raw_edge_count = len(ea)
+        bits = (m - 1).bit_length()
         keys = np.minimum(ea, eb, dtype=np.int64)
-        keys *= m
-        keys += np.maximum(ea, eb)
+        keys <<= bits
+        keys |= np.maximum(ea, eb)
         keys.sort()
         keep = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
         keys = keys[keep]
-        self.b = (keys % m).astype(np.int32)
-        keys //= m
+        # the low 32 bits hold all of max, as bits <= 31
+        self.b = keys.astype(np.int32)
+        self.b &= (1 << bits) - 1
+        keys >>= bits
         self.a = keys.astype(np.int32)
 
     @cached_property

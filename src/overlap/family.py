@@ -1,8 +1,9 @@
 """Set family input model and the two size orders everything else consumes.
 
 A family is m subsets of a universe of n elements. Elements are interned
-to dense indices; all algorithms downstream work on indices only and the
-original tokens are kept solely for output. SetFamily(tokens, elems,
+to dense indices; all algorithms downstream work on indices only, and a
+parsed family decodes its element names only when f.tokens is read,
+which no CLI output does. SetFamily(tokens, elems,
 sizes) builds a family from its flat form and is the only constructor;
 it also makes the family's LF order (f.lf), which the SL lists, pass 1
 and pass 3 read.
@@ -13,9 +14,10 @@ interns labels.
 sort_order is the one sort kernel of the package: every ordering made
 here and in maxcomp and dgraph packs each key with its index into one
 int64 and sorts those with np.sort. A key whose span needs more bits
-than the index leaves of 63 takes two such passes, low bits first, then
-stably the high bits. sort_groups also names each run of equal keys:
-every key gets the dense id of its run, and no other code numbers
+than the index leaves of 63, once the low bits in which no key differs
+from the smallest are dropped, takes two such passes, low bits first,
+then stably the high bits. sort_groups also names each run of equal
+keys: every key gets the dense id of its run, and no other code numbers
 groups.
 """
 
@@ -70,27 +72,40 @@ def sort_order(key):
 
     The order is stable: equal keys keep the order of their indices. The
     sorted keys come back as int64. With shift the bit length of n - 1,
-    key - key.min() is sorted by packed passes (_packed_pass): one when
-    it has at most 63 - shift bits, whose packed result gives the sorted
-    keys by a right shift, else two, least significant digit first. The
-    first sorts by the low 63 - shift bits and the second, stably, by
-    the rest, which has at most shift + 1 bits, so two passes always fit
-    for n < 2**31.
+    the differences key - key.min() are sorted by packed passes
+    (_packed_pass): one when they have at most 63 - shift bits, whose
+    packed result gives the sorted keys by shifts, else two, least
+    significant digit first. Before that they lose, when they need more
+    than 63 - shift bits, the low bits that are 0 in all of them: a
+    logical shift of the differences read as uint64, exact for any keys.
+    Of two passes, the first sorts by the low 63 - shift bits and the
+    second, stably, by the rest, which has at most shift + 1 bits, so
+    two passes always fit for n < 2**31.
     """
     n = len(key)
     if not n:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     shift = (n - 1).bit_length()
     low = int(key.min())
+    span = int(key.max()) - low
     part = key.astype(np.int64)
-    part -= low  # wraps past 2**63, read back as uint64 below
-    if (int(key.max()) - low).bit_length() + shift <= 63:
+    part -= low  # wraps past 2**63, so shifted as uint64 below
+    wide = part.view(np.uint64)
+    zeros = 0
+    if span.bit_length() + shift > 63:
+        # the trailing zeros of the OR of the differences, which is not 0
+        differ = int(np.bitwise_or.reduce(wide))
+        zeros = (differ & -differ).bit_length() - 1
+        wide >>= zeros
+        span >>= zeros
+    if span.bit_length() + shift <= 63:
         order = _packed_pass(part, shift)
         part >>= shift
+        part <<= zeros
         part += low
         return order, part
     bits = 63 - shift
-    high = (part.view(np.uint64) >> bits).view(np.int64)
+    high = (wide >> bits).view(np.int64)
     part &= (1 << bits) - 1
     order = _packed_pass(part, shift)
     order = order[_packed_pass(high[order], shift)]
@@ -119,7 +134,8 @@ def sort_groups(key):
 class SetFamily:
     """A family of m non-empty subsets over a universe of n elements.
 
-    tokens: element names, indexed 0..n-1.
+    tokens: element names, indexed 0..n-1, as a list made on first
+    access from the sized iterable the family was built with.
     elems, offsets: the sets in flat (CSR) form, set i being
     elems[offsets[i]:offsets[i + 1]] (int32 and int64 arrays).
     sizes: int32 set cardinalities; total_size is their sum (|F|).
@@ -137,8 +153,8 @@ class SetFamily:
     """
 
     def __init__(self, tokens, elems, sizes):
-        self.tokens = list(tokens)
-        self.n = len(self.tokens)
+        self._tokens = tokens
+        self.n = len(tokens)
         elems, sizes = np.asarray(elems), np.asarray(sizes)
         if elems.ndim != 1 or sizes.ndim != 1:
             raise ValueError("1-D elems and sizes needed, got %d-D and %d-D"
@@ -163,8 +179,9 @@ class SetFamily:
         sizes = sizes.astype(np.int32, copy=False)
         # sort_order is stable, so sorting the set * n + element keys puts
         # the repeats of an element within its set right after it
-        order, keys = sort_order(np.repeat(
-            np.arange(self.m, dtype=np.int64) * self.n, sizes) + elems)
+        keys = np.repeat(np.arange(self.m, dtype=np.int64) * self.n, sizes)
+        keys += elems
+        order, keys = sort_order(keys)
         rep = np.zeros(len(keys), dtype=bool)
         rep[order[1:]] = keys[1:] == keys[:-1]
         if rep.any():
@@ -178,6 +195,10 @@ class SetFamily:
         self.offsets = np.zeros(self.m + 1, dtype=np.int64)
         np.cumsum(sizes, out=self.offsets[1:])
         self.total_size = int(self.offsets[-1])
+
+    @cached_property
+    def tokens(self):
+        return list(self._tokens)
 
     @cached_property
     def sets(self):
@@ -208,9 +229,10 @@ class SLLists:
     Equal sizes appear in decreasing input-index order, i.e. each list is
     a subsequence of the reversed LF order. The lists are stored end to
     end: list v is flat[offsets[v]:offsets[v + 1]]. keys holds the same
-    (element, set) incidences as sorted int64 keys, which answers batched
-    membership queries (see contains); revrank[i], m - 1 minus the LF
-    rank of set i, is the set's part of its keys.
+    (element, set) incidences as sorted int64 keys element << bits |
+    revrank[set], bits being the bit length of m - 1, which answer
+    batched membership queries (see contains); revrank[i] is m - 1 minus
+    the LF rank of set i, as int32.
     """
 
     __slots__ = ("flat", "offsets", "keys", "_revrank")
@@ -228,8 +250,10 @@ class SLLists:
         queries are sorted first by sort_order, which keeps the searches
         cache-friendly.
         """
-        m = len(self._revrank)
-        perm, q = sort_order(elems.astype(np.int64) * m + self._revrank[sets])
+        q = elems.astype(np.int64)
+        q <<= (len(self._revrank) - 1).bit_length()
+        q |= self._revrank[sets]
+        perm, q = sort_order(q)
         hit = np.searchsorted(self.keys, q)
         np.minimum(hit, len(self.keys) - 1, out=hit)
         found = np.empty(len(q), dtype=bool)
@@ -244,10 +268,9 @@ UNICODE_SPACES = (0x85, 0xa0, 0x1680, 0x2000, 0x2001, 0x2002, 0x2003,
                   0x2028, 0x2029, 0x202f, 0x205f, 0x3000)
 _TO_SPACE = dict.fromkeys(UNICODE_SPACES, " ")
 _UNIVERSE = np.frombuffer(b"!universe", dtype=np.uint8)
-# _LOW_BYTES[k] masks the low k bytes of a little-endian word, for k up
-# to 8. _LENGTH_BIT[k] is the bit above them for k < 8, and for k = 8 the
-# bit 2**57 that the key of every token of 8 bytes or more has.
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# _LENGTH_BIT[k] is the bit above the low k bytes of a word for k < 8,
+# and for k = 8 the bit 2**57 that the key of every token of 8 bytes or
+# more has.
 _LENGTH_BIT = np.array([1 << 8 * k for k in range(8)] + [1 << 57],
                        dtype=np.uint64)
 
@@ -307,8 +330,8 @@ def _line_sizes(b, start):
 
 
 def _reader(data):
-    """read(pos, n): the n <= 8 bytes of data from each pos, as uint64
-    little-endian words whose higher bytes are 0.
+    """read(pos): the 8 bytes of data from each pos, as uint64
+    little-endian words, with 0 for the bytes past the end of data.
 
     Each word is read through an 8-byte window at pos; one within the
     last 8 bytes of data is read from there and shifted down.
@@ -318,11 +341,10 @@ def _reader(data):
                          strides=(1,))
     last = len(buf) - 8
 
-    def read(pos, n):
+    def read(pos):
         word = windows[np.minimum(pos, last)]
         tail = np.flatnonzero(pos > last)
         word[tail] >>= (8 * (pos[tail] - last)).astype(np.uint64)
-        word &= _LOW_BYTES[n]
         return word
 
     return read
@@ -350,7 +372,11 @@ def _wide_names(data, read, start, length):
     live = sort_order(name)[0]
     done = 0
     while len(live) > done >> 3:
-        word = read(start[live] + done, np.minimum(length[live] - done, 8))
+        word = read(start[live] + done)
+        # each word cut to the token's bytes: shifted up past them and back
+        cut = (64 - 8 * np.minimum(length[live] - done, 8)).astype(np.uint8)
+        word <<= cut
+        word >>= cut
         head = np.ones(len(live), dtype=bool)
         np.not_equal(name[live[1:]], name[live[:-1]], out=head[1:])
         leader = np.maximum.accumulate(np.where(head, np.arange(len(live)), 0))
@@ -379,13 +405,19 @@ def _token_keys(data, start, length):
 
     A shorter token's key is its bytes read as a little-endian word plus
     the bit just above them, which tells "a" from "a\\0", so the key is
-    under 2**57. A longer one's is 2**57 plus its name (_wide_names).
+    under 2**57. It is made by shifts: the word is shifted up until the
+    token's bytes end just below bit 63, which drops the bytes after
+    them, bit 63 is set and the word shifted back down. A longer token's
+    key (first made so from its first 7 bytes) is 2**57 plus its name
+    (_wide_names).
     """
     read = _reader(data)
-    short = np.minimum(length, 8).astype(np.uint8)
-    key = read(start, short)
-    key |= _LENGTH_BIT[short]
-    del short
+    key = read(start)
+    up = (63 - 8 * np.minimum(length, 7)).astype(np.uint8)
+    key <<= up
+    key |= 1 << 63
+    key >>= up
+    del up
     wide = np.flatnonzero(length >= 8)
     names, first = _wide_names(data, read, start[wide], length[wide])
     key[wide] = names.astype(np.uint64) + _LENGTH_BIT[8]
@@ -405,6 +437,25 @@ def _decode(keys, wide):
     return raw.tobytes().decode().split() + [t.decode() for t in wide]
 
 
+class _Tokens:
+    """The tokens of a parse in order of first appearance, decoded
+    (_decode) each time they are iterated: keys are the sorted distinct
+    token keys, wide the tokens of 8 bytes or more and by_first[i] the
+    place in keys of the i-th token to appear."""
+
+    __slots__ = ("keys", "wide", "by_first")
+
+    def __init__(self, keys, wide, by_first):
+        self.keys, self.wide, self.by_first = keys, wide, by_first
+
+    def __len__(self):
+        return len(self.by_first)
+
+    def __iter__(self):
+        tokens = _decode(self.keys, self.wide)
+        return map(tokens.__getitem__, self.by_first.tolist())
+
+
 def parse_family(source):
     """Parse the family text format into a SetFamily.
 
@@ -419,7 +470,8 @@ def parse_family(source):
     declares the elements after it, which may appear in no set. Duplicate
     tokens within a line are dropped; an empty (or whitespace-only) line
     is rejected because it would denote an empty set. Elements are
-    numbered in order of first appearance.
+    numbered in order of first appearance. Their names are decoded on
+    the first read of f.tokens, which no CLI output makes.
 
     The bytes are split with numpy, with no Python loop over lines or
     tokens. Tokens are interned by sort_groups of their keys
@@ -455,8 +507,6 @@ def parse_family(source):
     key, wide = _token_keys(data, start, length)
     del data, b, start, length
     order, key, first, group = sort_groups(key)
-    tokens = _decode(key, wide)
-    del key
     by_first, _, _, rank = sort_groups(order[first])
     del order, first
     ids = rank[group]
@@ -464,23 +514,27 @@ def parse_family(source):
     if skipped:
         ids = ids[owner == 0]
     del owner
-    return SetFamily(list(map(tokens.__getitem__, by_first.tolist())), ids,
-                     sizes)
+    return SetFamily(_Tokens(key, wide, by_first), ids, sizes)
 
 
 def build_sl_lists(f):
     """Build all SL lists with one sort of the (element, set) incidences.
 
-    Each incidence becomes the key element * m + (m - 1 - LF rank of the
-    set): sorted, the keys group by element and, within an element, run
-    along the reversed LF order (f.lf).
+    Each incidence becomes the key element << bits | (m - 1 - LF rank of
+    the set), bits being the bit length of m - 1: sorted, the keys group
+    by element and, within an element, run along the reversed LF order
+    (f.lf). Element v's list starts at the first key at or above
+    v << bits, and the low 32 bits of each key, masked, give its set's
+    place in that order.
     """
-    m = f.m
-    revrank = (m - 1) - f.lf.rank.astype(np.int64)
-    owner = np.repeat(revrank, f.sizes)
-    keys = f.elems.astype(np.int64) * m + owner
+    bits = (f.m - 1).bit_length()
+    revrank = (f.m - 1) - f.lf.rank
+    keys = f.elems.astype(np.int64)
+    keys <<= bits
+    keys |= np.repeat(revrank, f.sizes)
     keys.sort()
-    flat = f.lf.order[(m - 1) - keys % m]
-    offsets = np.zeros(f.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(f.elems, minlength=f.n), out=offsets[1:])
+    offsets = np.searchsorted(keys, np.arange(f.n + 1, dtype=np.int64) << bits)
+    owner = keys.astype(np.int32)
+    owner &= (1 << bits) - 1
+    flat = f.lf.order[::-1][owner]
     return SLLists(flat, offsets, keys, revrank)

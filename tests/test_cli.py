@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -723,3 +724,50 @@ def test_writer_peak_memory_within_pipeline_peak(large_blocks):
     finally:
         tracemalloc.stop()
     assert writer_peak <= pipeline_peak
+
+
+def traced_peak(fn, *args):
+    """The peak of the memory tracemalloc saw fn(*args) allocate."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_frees_the_text_inside_the_parse(large_blocks):
+    # _load hands the parse the open file, so the parse drops the text
+    # once it has the tokens; a caller that holds the bytes keeps them
+    # alive to the parse's peak
+    path = Path(large_blocks[0])
+    held = traced_peak(lambda: parse_family(path.read_bytes()))
+    loaded = traced_peak(cli._load, str(path))
+    assert loaded <= held - path.stat().st_size / 2
+
+
+# comments, a !universe line, repeated tokens, non-ASCII tokens, tokens
+# of 7, 8 and 9 bytes and one of 20 bytes that ends the file, CR LF
+NAMES_TEXT = ("# element names\r\nabcdefg abcdefgh abcdefghi x\r\n"
+              "x y x abcdefg\r\n!universe z0 h\u00e9llo w\u00f6rld7 abcdefgh\r\n"
+              "h\u00e9llo abcdefghi y\r\n"
+              "\u03b1\u03b2\u03b3\u03b4 w\u00f6rld7 abcdefghijklmnopqrst")
+NAMES = ["abcdefg", "abcdefgh", "abcdefghi", "x", "y", "z0", "h\u00e9llo",
+         "w\u00f6rld7", "\u03b1\u03b2\u03b3\u03b4", "abcdefghijklmnopqrst"]
+
+
+def test_cli_decodes_no_element_name(tmp_path, monkeypatch):
+    path = tmp_path / "names.txt"
+    path.write_bytes(NAMES_TEXT.encode())
+    want = run_cli("forest", "--json", str(path))
+
+    def refuse(*args):
+        raise AssertionError("element names decoded")
+
+    monkeypatch.setattr(overlap.family, "_decode", refuse)
+    assert run_cli("forest", "--json", str(path)) == want
+    f = cli._load(str(path))
+    monkeypatch.undo()
+    assert f.n == len(NAMES)
+    assert f.tokens == NAMES
+    assert [len(t.encode()) for t in NAMES[:3]] == [7, 8, 9]

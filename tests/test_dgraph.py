@@ -201,8 +201,9 @@ def test_result_keeps_no_sl_lists(fam_a):
 
 def test_set_graph_orients_sorts_and_dedups_raw_pairs():
     rng = seeded_rng(13)
-    cases = [([], [], 5), ([0], [0], 1), ([4, 1, 3], [0, 2, 3], 5)]
-    for m in (1, 2, 7, 50):
+    cases = [([], [], 5), ([0], [0], 1), ([4, 1, 3], [0, 2, 3], 5),
+             ([2**31 - 2, 5, 2**31 - 2], [0, 2**31 - 3, 0], 2**31 - 1)]
+    for m in (1, 2, 7, 50, 64, 65):
         k = rng.randint(1, 300)
         ea = [rng.randrange(m) for _ in range(k)]
         eb = [rng.randrange(m) for _ in range(k)]

@@ -229,6 +229,46 @@ def test_sl_invariants_random(seed):
             assert i in lists[v]
 
 
+def product_keyed_sl_lists(f):
+    """flat, offsets and contains of build_sl_lists as it was, with the
+    keys element * m + revrank read back by % m."""
+    m = f.m
+    revrank = (m - 1) - f.lf.rank.astype(np.int64)
+    keys = f.elems.astype(np.int64) * m + np.repeat(revrank, f.sizes)
+    keys.sort()
+    flat = f.lf.order[(m - 1) - keys % m]
+    offsets = np.zeros(f.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(f.elems, minlength=f.n), out=offsets[1:])
+
+    def contains(elems, sets):
+        q = elems.astype(np.int64) * m + revrank[sets]
+        hit = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        return keys[hit] == q
+
+    return flat, offsets, contains
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 37, 64, 65, 256, 257, 1024, 1025])
+def test_shift_keyed_sl_lists_match_product_keyed(m):
+    rng = np.random.default_rng(m)
+    for n in (1, 5, 300):
+        sizes = rng.integers(1, min(n, 8), m, endpoint=True)
+        elems = np.concatenate([rng.choice(n, s, replace=False)
+                                for s in sizes])
+        f = SetFamily(["t%d" % e for e in range(n)], elems, sizes)
+        sl = build_sl_lists(f)
+        flat, offsets, contains = product_keyed_sl_lists(f)
+        assert sl.flat.tolist() == flat.tolist()
+        assert sl.offsets.tolist() == offsets.tolist()
+        # every incidence, then random pairs, most of them misses
+        owner = np.repeat(np.arange(m), sizes)
+        qe = np.concatenate([elems, rng.integers(0, n, 3000)])
+        qs = np.concatenate([owner, rng.integers(0, m, 3000)])
+        got = sl.contains(qe, qs)
+        assert got[:len(elems)].all()
+        assert got.tolist() == contains(qe, qs).tolist()
+
+
 def test_orders_deterministic():
     rng = seeded_rng(7)
     f = random_family(rng)
@@ -428,9 +468,9 @@ def test_long_tied_tokens_take_few_reads(monkeypatch):
     def counting_reader(data):
         read = reader(data)
 
-        def counted(pos, n):
+        def counted(pos):
             reads.append(len(pos))
-            return read(pos, n)
+            return read(pos)
         return counted
 
     monkeypatch.setattr(overlap.family, "_reader", counting_reader)
@@ -532,15 +572,40 @@ class TestSortOrder:
     @pytest.mark.parametrize("width", [63, 64])
     def test_both_sides_of_63_bits(self, monkeypatch, n, index_bits, width):
         """A key span of width - index_bits bits takes one packed pass at
-        63 bits and two at 64."""
+        63 bits and two at 64. The middle key's offset is odd, so no low
+        bit can be dropped."""
         span = 1 << (width - index_bits - 1)  # bit length width - index_bits
         rng = np.random.default_rng(n + width)
         low = -2**40
-        key = rng.choice([low, low + span // 3, low + span], n)
-        key[:2] = low + span, low
+        middle = low + (span // 3 | 1)
+        key = rng.choice([low, middle, low + span], n)
+        key[:3] = low + span, low, middle
         calls = count_passes(monkeypatch)
         order, sorted_key = sort_order(key)
         assert calls == ([n] if width == 63 else [n, n])
+        monkeypatch.undo()
+        assert order.tolist() == np.argsort(key, kind="stable").tolist()
+        assert sorted_key.tolist() == np.sort(key).tolist()
+
+    @pytest.mark.parametrize("zeros, high", [(13, 49), (14, 49), (21, 42),
+                                             (40, 23)])
+    def test_shared_low_zero_bits_take_one_pass(self, monkeypatch, zeros,
+                                                high):
+        """Keys whose differences from the smallest all end in zeros zero
+        bits sort in one packed pass, though their span and the index
+        need more than 63 bits; from zeros = 14 on, the span wraps past
+        2**63."""
+        n = 5000
+        top = 2**high
+        rng = np.random.default_rng(zeros)
+        key = rng.integers(-top, top, n) * 2**zeros + 12345
+        key[:2] = (top - 1) * 2**zeros + 12345, -top * 2**zeros + 12345
+        span = int(key.max()) - int(key.min())
+        assert span.bit_length() + (n - 1).bit_length() > 63
+        assert (span >= 2**63) == (zeros >= 14)
+        calls = count_passes(monkeypatch)
+        order, sorted_key = sort_order(key)
+        assert calls == [n]
         monkeypatch.undo()
         assert order.tolist() == np.argsort(key, kind="stable").tolist()
         assert sorted_key.tolist() == np.sort(key).tolist()

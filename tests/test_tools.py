@@ -1,11 +1,14 @@
 import ast
 import importlib.util
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from overlap.pipeline import LAYERS
+
+from overlap.generate import gen_blocks
 
 from conftest import FAM_A_TEXT
 
@@ -22,6 +25,7 @@ def load_tool(name):
 code_lines = load_tool("code_lines")
 layer_times = load_tool("layer_times")
 output_digests = load_tool("output_digests")
+phase_memory = load_tool("phase_memory")
 
 SOURCE = '''"""Module docstring
 over two lines."""
@@ -125,3 +129,23 @@ def test_layer_times_reads_the_pipeline_record():
     assert "overlap.pipeline" in modules
     assert not modules & {"overlap.subgraph", "overlap.dgraph",
                           "overlap.maxcomp"}
+
+
+def test_phase_memory_prints_one_table_row(tmp_path, capsys):
+    path = tmp_path / "blocks.txt"
+    path.write_text(gen_blocks(400, 600, 40, 7))
+    assert phase_memory.main([str(path)]) == 0
+    header, row = [[cell.strip() for cell in line.split("|")[1:-1]]
+                   for line in capsys.readouterr().out.splitlines()]
+    assert header == ["load peak", "load live", "pipeline peak",
+                      "pipeline live", "JSON out peak", "JSON out live"]
+    assert len(row) == len(header)
+    figures = phase_memory.phase_memory(str(path))
+    assert not tracemalloc.is_tracing()
+    # each phase peaks at or above what it leaves live, and the family
+    # and then the result stay live into the next phase
+    for peak, live in zip(figures[::2], figures[1::2]):
+        assert peak >= live > 0
+    assert figures[1] <= figures[3] <= figures[5]
+    with pytest.raises(SystemExit):
+        phase_memory.main([])
