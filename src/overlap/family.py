@@ -101,7 +101,8 @@ def sort_order(key):
     if span.bit_length() + shift <= 63:
         order = _packed_pass(part, shift)
         part >>= shift
-        part <<= zeros
+        if zeros:
+            wide <<= zeros
         part += low
         return order, part
     bits = 63 - shift

@@ -6,9 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from overlap.pipeline import LAYERS
-
 from overlap.generate import gen_blocks
+from overlap.pipeline import LAYERS
 
 from conftest import FAM_A_TEXT
 
