@@ -17,7 +17,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .dgraph import UnionFind
-from .family import FamilyFormatError, SetFamily, parse_family
+from .family import (FamilyFormatError, SetFamily, build_sl_lists,
+                     parse_family)
 from .generate import (gen_blocks, gen_nested, gen_random_lines,
                        gen_random_sets, gen_star)
 from .oracle import OracleCapExceeded, max_oracle, overlap_graph_full
@@ -315,9 +316,10 @@ def bench_one(target, seed):
     and the mean time per run is kept: on a shared host the core's speed
     swings from one fraction of a second to the next, so the fastest of a
     few runs mostly measures the luckiest spell, and how lucky differs
-    from one instance to the next. Returns the mean of each entry of
-    run_pipeline's times (every layer and the total) plus the instance's
-    exact total size.
+    from one instance to the next. The family's presorted SL keys are
+    taken (build_sl_lists) before the first run, so every run sorts them.
+    Returns the mean of each entry of run_pipeline's times (every layer
+    and the total) plus the instance's exact total size.
     """
     m = max(1, target // 8)
     n = max(4, m // 2)
@@ -326,6 +328,7 @@ def bench_one(target, seed):
                   np.fromiter(chain.from_iterable(sets), dtype=np.int32),
                   np.fromiter(map(len, sets), dtype=np.int32, count=m))
     del sets
+    build_sl_lists(f)  # takes the constructor's keys: every run sorts
     sums = {}
     runs = 0
     gc.collect()

@@ -6,7 +6,9 @@ parsed family decodes its element names only when f.tokens is read,
 which no CLI output does. SetFamily(tokens, elems,
 sizes) builds a family from its flat form and is the only constructor;
 it also makes the family's LF order (f.lf), which the SL lists, pass 1
-and pass 3 read.
+and pass 3 read, and the one sort of the incidences by the SL-list key,
+which finds the repeated elements and which the first build_sl_lists
+takes.
 parse_family reads the text format from its UTF-8 bytes with numpy,
 interns the tokens through sort_order and calls it; no other code
 interns labels.
@@ -144,6 +146,11 @@ class SetFamily:
     access.
     lf: the LFOrder of the sizes, made once repeats are dropped.
 
+    The constructor sorts the incidences once, by the keys of the SL
+    lists (_sl_keys), and finds the repeats in that sort: two equal
+    adjacent keys. Only a family with repeats sorts again, to drop them
+    and key what is left; the first build_sl_lists takes the keys.
+
     A family is built from the text format by parse_family, or from the
     flat form by SetFamily(tokens, elems, sizes), elems and sizes being
     one-dimensional integer arrays or lists of ints (a float or bool
@@ -178,21 +185,31 @@ class SetFamily:
                              % (int(elems[outside.argmax()]),))
         elems = elems.astype(np.int32, copy=False)
         sizes = sizes.astype(np.int32, copy=False)
-        # sort_order is stable, so sorting the set * n + element keys puts
-        # the repeats of an element within its set right after it
-        keys = np.repeat(np.arange(self.m, dtype=np.int64) * self.n, sizes)
-        keys += elems
-        order, keys = sort_order(keys)
-        rep = np.zeros(len(keys), dtype=bool)
-        rep[order[1:]] = keys[1:] == keys[:-1]
-        if rep.any():
+        lf = LFOrder(sort_order(-sizes)[0])
+        keys = _sl_keys(elems, sizes, lf.rank)
+        # an element repeated within its set gives two equal adjacent keys
+        if (keys[1:] == keys[:-1]).any():
+            del keys
+            # sort_order is stable, so sorting the set * n + element keys
+            # puts the repeats of an element within its set right after it
+            keys = np.repeat(np.arange(self.m, dtype=np.int64) * self.n,
+                             sizes)
+            keys += elems
+            order, keys = sort_order(keys)
+            rep = np.zeros(len(keys), dtype=bool)
+            rep[order[1:]] = keys[1:] == keys[:-1]
+            del order, keys
             # a set's size is now the count of kept entries from its start
             # to the next set's
             sizes = np.add.reduceat(~rep, np.cumsum(sizes) - sizes,
                                     dtype=np.int32)
             elems = elems[~rep]
-        self.elems, self.sizes = elems, sizes
-        self.lf = LFOrder(sort_order(-sizes)[0])
+            del rep
+            lf = LFOrder(sort_order(-sizes)[0])
+            keys = _sl_keys(elems, sizes, lf.rank)
+        self.elems, self.sizes, self.lf = elems, sizes, lf
+        # build_sl_lists takes these keys, so the family does not keep them
+        self._sl_keys = keys
         self.offsets = np.zeros(self.m + 1, dtype=np.int64)
         np.cumsum(sizes, out=self.offsets[1:])
         self.total_size = int(self.offsets[-1])
@@ -297,7 +314,9 @@ def _token_bounds(b):
     under 2 GiB.
 
     A token starts where a blank is followed by a token byte and ends
-    where a token byte is followed by a blank.
+    where a token byte is followed by a blank. With a blank put before
+    and after b, the places where blankness changes are one scan, and
+    they alternate: a start, its token's end, the next start, ...
     """
     blank = np.ones(len(b) + 2, dtype=bool)
     # the ASCII whitespace of str.split: bytes 9 to 13 and 28 to 32
@@ -306,9 +325,12 @@ def _token_bounds(b):
     code -= 19
     blank[1:-1] |= code <= 4
     del code
+    change = blank[:-1] != blank[1:]
+    del blank
+    change = np.flatnonzero(change)
     place = np.int32 if len(b) < 2**31 else np.int64
-    start = np.flatnonzero(blank[:-1] > blank[1:]).astype(place)
-    length = np.flatnonzero(blank[:-1] < blank[1:]).astype(place)
+    start = change[::2].astype(place)
+    length = change[1::2].astype(place)
     length -= start
     return start, length
 
@@ -518,24 +540,36 @@ def parse_family(source):
     return SetFamily(_Tokens(key, wide, by_first), ids, sizes)
 
 
-def build_sl_lists(f):
-    """Build all SL lists with one sort of the (element, set) incidences.
-
-    Each incidence becomes the key element << bits | (m - 1 - LF rank of
-    the set), bits being the bit length of m - 1: sorted, the keys group
-    by element and, within an element, run along the reversed LF order
-    (f.lf). Element v's list starts at the first key at or above
-    v << bits, and the low 32 bits of each key, masked, give its set's
-    place in that order.
-    """
-    bits = (f.m - 1).bit_length()
-    revrank = (f.m - 1) - f.lf.rank
-    keys = f.elems.astype(np.int64)
-    keys <<= bits
-    keys |= np.repeat(revrank, f.sizes)
+def _sl_keys(elems, sizes, rank):
+    """The incidences of the flat sets elems, sizes as sorted int64 keys
+    element << bits | (m - 1 - rank[set]), bits being the bit length of
+    m - 1, rank the sets' LF ranks: one np.sort in place."""
+    m = len(sizes)
+    keys = elems.astype(np.int64)
+    keys <<= (m - 1).bit_length()
+    keys |= np.repeat((m - 1) - rank, sizes)
     keys.sort()
+    return keys
+
+
+def build_sl_lists(f):
+    """Build all SL lists from the sorted (element, set) incidence keys.
+
+    Each incidence is the key element << bits | (m - 1 - LF rank of the
+    set), bits being the bit length of m - 1: sorted, the keys group by
+    element and, within an element, run along the reversed LF order
+    (f.lf). The first call takes the keys the family's constructor
+    sorted, and the family drops them; a later call sorts them again.
+    Element v's list starts at the first key at or above v << bits, and
+    the low 32 bits of each key, masked, give its set's place in that
+    order.
+    """
+    keys, f._sl_keys = f._sl_keys, None
+    if keys is None:
+        keys = _sl_keys(f.elems, f.sizes, f.lf.rank)
+    bits = (f.m - 1).bit_length()
     offsets = np.searchsorted(keys, np.arange(f.n + 1, dtype=np.int64) << bits)
     owner = keys.astype(np.int32)
     owner &= (1 << bits) - 1
     flat = f.lf.order[::-1][owner]
-    return SLLists(flat, offsets, keys, revrank)
+    return SLLists(flat, offsets, keys, (f.m - 1) - f.lf.rank)

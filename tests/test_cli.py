@@ -340,6 +340,28 @@ class TestBench:
         assert row["total_size"] == sum(map(len, want))
 
 
+    def test_every_timed_run_sorts_the_sl_keys(self, monkeypatch):
+        # the keys the constructor sorted are taken before the timed runs,
+        # so no run gets its SL lists without the sort
+        sorts, per_run = [], []
+        sl_keys = overlap.family._sl_keys
+
+        def counting(*args):
+            sorts.append(len(args[0]))
+            return sl_keys(*args)
+
+        def pipeline(f):
+            before = len(sorts)
+            res = run_pipeline(f)
+            per_run.append(len(sorts) - before)
+            return res
+
+        monkeypatch.setattr(overlap.family, "_sl_keys", counting)
+        monkeypatch.setattr(cli, "run_pipeline", pipeline)
+        monkeypatch.setattr(cli, "BENCH_SECONDS", 0.0)
+        cli.bench_one(1000, seed=3)
+        assert per_run == [1, 1]
+
 @pytest.mark.parametrize("case", ["oracle_cap", "bench_sizes",
                                   "bench_sizes_negative", "bench_sizes_zero",
                                   "bench_sizes_empty",

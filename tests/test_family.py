@@ -10,6 +10,7 @@ import overlap.family
 from overlap.family import (UNICODE_SPACES, FamilyFormatError, SetFamily,
                             build_sl_lists, parse_family, segments,
                             sort_groups, sort_order)
+import overlap.pipeline
 from overlap.generate import gen_nested
 from overlap.pipeline import run_pipeline
 
@@ -269,6 +270,71 @@ def test_shift_keyed_sl_lists_match_product_keyed(m):
         assert got.tolist() == contains(qe, qs).tolist()
 
 
+def random_flat_family(seed, m=300, n=200):
+    """A repeat-free family of m random sets of 2 to 8 of n elements,
+    built from its flat form."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 9, m)
+    elems = np.concatenate([rng.choice(n, s, replace=False) for s in sizes])
+    return SetFamily(["t%d" % e for e in range(n)], elems, sizes)
+
+
+def test_one_incidence_sort_from_constructor_to_pass_one(monkeypatch):
+    # a repeat-free family sorts its (element, set) incidences once, by
+    # the SL-list key, in its constructor; run_pipeline's SL lists read
+    # those keys, and nothing else sorts |F| entries before pass 1
+    total = random_flat_family(3).total_size
+    sorts = []
+
+    def record(module, name, length=None):
+        fn = getattr(module, name)
+
+        def recording(*args):
+            if length is None or len(args[0]) == length:
+                sorts.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, recording)
+
+    record(overlap.family, "_sl_keys", total)
+    record(overlap.family, "_packed_pass", total)
+    record(overlap.pipeline, "compute_pf")
+    run_pipeline(random_flat_family(3))
+    assert sorts[:sorts.index("compute_pf")] == ["_sl_keys"]
+
+
+@pytest.mark.parametrize("texts", [("a b b b\nc d e\n", "a b\nc d e\n"),
+                                   ("c d e\na a b a b\n", "c d e\na b\n")])
+def test_repeats_that_change_the_lf_order_are_rekeyed(texts):
+    # each family's sets swap places in the LF order when the repeats
+    # are dropped, so the keys sorted before the drop are in the wrong
+    # order
+    f, g = map(parse_family, texts)
+    assert f.tokens == g.tokens
+    for name in ("elems", "sizes", "offsets"):
+        assert getattr(f, name).tolist() == getattr(g, name).tolist()
+    assert f.lf.order.tolist() == g.lf.order.tolist()
+    assert f.lf.rank.tolist() == g.lf.rank.tolist()
+    a, b = build_sl_lists(f), build_sl_lists(g)
+    for name in ("flat", "offsets", "keys"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist()
+
+
+def test_pipeline_takes_the_sl_keys_and_a_later_build_sorts_them():
+    # after run_pipeline the family holds no |F|-sized array but elems;
+    # a build of the SL lists after the first sorts the keys again, to
+    # the same lists
+    f = random_flat_family(4)
+    run_pipeline(f)
+    held = [name for name, value in vars(f).items()
+            if isinstance(value, np.ndarray) and len(value) >= f.total_size]
+    assert held == ["elems"]
+    g = random_flat_family(4)
+    first, second = build_sl_lists(g), build_sl_lists(g)
+    for name in ("flat", "offsets", "keys"):
+        assert getattr(first, name).tolist() == getattr(second, name).tolist()
+
+
 def test_orders_deterministic():
     rng = seeded_rng(7)
     f = random_family(rng)
@@ -500,20 +566,44 @@ def test_unicode_spaces_literal_is_str_split_whitespace():
         c for c in range(128, 0x110000) if chr(c).isspace()]
 
 
-def traced_peak(fn, arg):
-    """fn(arg) and the peak of the memory tracemalloc saw it allocate."""
-    tracemalloc.start()
-    try:
-        return fn(arg), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def two_scan_token_bounds(b):
+    """_token_bounds as it was: starts and ends found by two scans."""
+    blank = np.ones(len(b) + 2, dtype=bool)
+    blank[1:-1] = ((b >= 9) & (b <= 13)) | ((b >= 28) & (b <= 32))
+    start = np.flatnonzero(blank[:-1] > blank[1:]).astype(np.int32)
+    end = np.flatnonzero(blank[:-1] < blank[1:]).astype(np.int32)
+    return start, end - start
+
+
+def test_token_bounds_match_two_scans():
+    rng = np.random.default_rng(17)
+    alphabet = np.frombuffer(b" \t\n\r\x0b\x1c\x1fab#\x80\xe2", np.uint8)
+    texts = [b"", b" ", b" \n\t\r ", b"a", b"  ab cd  ", b"\nab\ncd",
+             b"ab cd\n", b"x y zz", "\u00e9t\u00e9 \u00e9".encode()]
+    texts += [alphabet[rng.integers(0, len(alphabet), size)].tobytes()
+              for size in rng.integers(0, 60, 300)]
+    for data in texts:
+        b = np.frombuffer(data, dtype=np.uint8)
+        for got, want in zip(overlap.family._token_bounds(b),
+                             two_scan_token_bounds(b)):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
 
 
 def test_parse_peak_memory_within_pipeline_peak():
-    # parsing must not set a CLI call's peak memory: on nested families,
-    # whose pipeline is light, it stays under the pipeline's own peak
-    f, parse_peak = traced_peak(parse_family, gen_nested(512))
-    _, pipeline_peak = traced_peak(run_pipeline, f)
+    # parsing must not set a CLI call's peak memory: in one tracemalloc
+    # session, the parse of a nested family, whose pipeline is light,
+    # peaks no higher than the session does while the pipeline runs
+    text = gen_nested(512)
+    tracemalloc.start()
+    try:
+        f = parse_family(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run_pipeline(f)
+        pipeline_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert parse_peak <= pipeline_peak
 
 
