@@ -21,7 +21,8 @@ from .family import (FamilyFormatError, SetFamily, build_sl_lists,
                      parse_family)
 from .generate import (gen_blocks, gen_nested, gen_random_lines,
                        gen_random_sets, gen_star)
-from .oracle import OracleCapExceeded, max_oracle, overlap_graph_full
+from .oracle import (OracleCapExceeded, max_oracle, overlap_graph_full,
+                     overlaps)
 from .pipeline import LAYERS, run_pipeline
 
 __all__ = ["main", "entry", "bench_rows", "render", "verify_result"]
@@ -230,11 +231,12 @@ def verify_result(res, full, oracle_max):
                                                  oracle_max.values))
                   if a != b]
 
-    # every subgraph edge is a pair the oracle found overlapping
-    overlapping = set(full.edges)
+    # every subgraph edge is a pair the oracle's predicate finds
+    # overlapping
+    sets = res.family.as_frozensets()
     edges = res.subgraph.edges
     edge_faults = ["  non-overlap edge %s %s" % (_label(a), _label(b))
-                   for a, b in edges if (a, b) not in overlapping]
+                   for a, b in edges if not overlaps(sets[a], sets[b])]
 
     # each tree spans its class: |class| - 1 subgraph edges inside it, each
     # joining two parts not yet joined (the classes are disjoint, so one
@@ -407,9 +409,10 @@ def build_parser():
             ("forest", "spanning forest of the overlap classes")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("file", help="family input file")
-        p.add_argument("--json", action="store_true", help="JSON output")
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true", help="JSON output")
         if name in ("subgraph", "forest"):
-            p.add_argument("--dot", action="store_true", help="DOT output")
+            fmt.add_argument("--dot", action="store_true", help="DOT output")
         p.set_defaults(func=cmd_family, dot=False)
 
     p = sub.add_parser("verify", help="differential check against the brute-force oracle")

@@ -6,9 +6,9 @@ parsed family decodes its element names only when f.tokens is read,
 which no CLI output does. SetFamily(tokens, elems,
 sizes) builds a family from its flat form and is the only constructor;
 it also makes the family's LF order (f.lf), which the SL lists, pass 1
-and pass 3 read, and the one sort of the incidences by the SL-list key,
-which finds the repeated elements and which the first build_sl_lists
-takes.
+and pass 3 read, and sorts the incidences by the SL-list key, the one
+incidence key of the package: that sort finds the repeated elements,
+and the first build_sl_lists takes it.
 parse_family reads the text format from its UTF-8 bytes with numpy,
 interns the tokens through sort_order and calls it; no other code
 interns labels.
@@ -146,10 +146,11 @@ class SetFamily:
     access.
     lf: the LFOrder of the sizes, made once repeats are dropped.
 
-    The constructor sorts the incidences once, by the keys of the SL
-    lists (_sl_keys), and finds the repeats in that sort: two equal
-    adjacent keys. Only a family with repeats sorts again, to drop them
-    and key what is left; the first build_sl_lists takes the keys.
+    The constructor's body makes lf from the sizes, sorts the incidences
+    by the keys of the SL lists (_sl_keys) and finds the repeats in that
+    sort: two equal adjacent keys. A family with repeats drops them, by
+    a stable sort_order of the same keys, and runs the body again on
+    what is left; the first build_sl_lists takes the keys.
 
     A family is built from the text format by parse_family, or from the
     flat form by SetFamily(tokens, elems, sizes), elems and sizes being
@@ -185,17 +186,19 @@ class SetFamily:
                              % (int(elems[outside.argmax()]),))
         elems = elems.astype(np.int32, copy=False)
         sizes = sizes.astype(np.int32, copy=False)
-        lf = LFOrder(sort_order(-sizes)[0])
-        keys = _sl_keys(elems, sizes, lf.rank)
-        # an element repeated within its set gives two equal adjacent keys
-        if (keys[1:] == keys[:-1]).any():
+        # runs once, and once more on the kept entries if any were dropped
+        while True:
+            lf = LFOrder(sort_order(-sizes)[0])
+            keys = _sl_keys(elems, sizes, lf.rank)
+            keys.sort()
+            # an element repeated within its set gives two equal adjacent
+            # keys
+            if not (keys[1:] == keys[:-1]).any():
+                break
             del keys
-            # sort_order is stable, so sorting the set * n + element keys
-            # puts the repeats of an element within its set right after it
-            keys = np.repeat(np.arange(self.m, dtype=np.int64) * self.n,
-                             sizes)
-            keys += elems
-            order, keys = sort_order(keys)
+            # sort_order is stable, so every later copy of an (element,
+            # set) key comes right after its first place
+            order, keys = sort_order(_sl_keys(elems, sizes, lf.rank))
             rep = np.zeros(len(keys), dtype=bool)
             rep[order[1:]] = keys[1:] == keys[:-1]
             del order, keys
@@ -205,8 +208,6 @@ class SetFamily:
                                     dtype=np.int32)
             elems = elems[~rep]
             del rep
-            lf = LFOrder(sort_order(-sizes)[0])
-            keys = _sl_keys(elems, sizes, lf.rank)
         self.elems, self.sizes, self.lf = elems, sizes, lf
         # build_sl_lists takes these keys, so the family does not keep them
         self._sl_keys = keys
@@ -541,14 +542,13 @@ def parse_family(source):
 
 
 def _sl_keys(elems, sizes, rank):
-    """The incidences of the flat sets elems, sizes as sorted int64 keys
+    """The incidences of the flat sets elems, sizes as int64 keys
     element << bits | (m - 1 - rank[set]), bits being the bit length of
-    m - 1, rank the sets' LF ranks: one np.sort in place."""
+    m - 1, rank the sets' LF ranks, in the order of elems."""
     m = len(sizes)
     keys = elems.astype(np.int64)
     keys <<= (m - 1).bit_length()
     keys |= np.repeat((m - 1) - rank, sizes)
-    keys.sort()
     return keys
 
 
@@ -567,6 +567,7 @@ def build_sl_lists(f):
     keys, f._sl_keys = f._sl_keys, None
     if keys is None:
         keys = _sl_keys(f.elems, f.sizes, f.lf.rank)
+        keys.sort()
     bits = (f.m - 1).bit_length()
     offsets = np.searchsorted(keys, np.arange(f.n + 1, dtype=np.int64) << bits)
     owner = keys.astype(np.int32)

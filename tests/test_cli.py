@@ -196,6 +196,30 @@ class TestVerify:
                        "  bad tree of X1\n"
                        "FAIL\n")
 
+    def test_reads_no_list_of_every_overlapping_pair(self, fam_a_file,
+                                                     monkeypatch):
+        """The subgraph check asks the oracle's predicate about each edge,
+        so the oracle's list of every overlapping pair is never read."""
+        real = cli.overlap_graph_full
+
+        class Unread:
+            def __init__(self, full):
+                self.labeling = full.labeling
+
+            @property
+            def edges(self):
+                raise AssertionError("verify read every overlapping pair")
+
+        monkeypatch.setattr(cli, "overlap_graph_full",
+                            lambda f: Unread(real(f)))
+        code, out = run_cli("verify", fam_a_file)
+        assert code == 0
+        assert out == ("classes: ok (2 classes)\n"
+                       "max: ok\n"
+                       "subgraph: ok (2 edges, all overlaps)\n"
+                       "forest: ok (2 trees)\n"
+                       "PASS\n")
+
     def test_max_against_the_oracles_own_order(self, tmp_path, monkeypatch):
         """The oracle orders the sets itself, so a fault in the family's
         LF order shows as a Max mismatch instead of on both sides."""
@@ -403,6 +427,18 @@ def test_dot_only_on_subgraph_and_forest(command, fam_a_file, capsys):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments: --dot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [("--json", "--dot"), ("--dot", "--json")])
+@pytest.mark.parametrize("command", ["subgraph", "forest"])
+def test_json_and_dot_together_are_an_input_error(command, flags, fam_a_file,
+                                                  capsys):
+    code, out = run_cli(command, *flags, fam_a_file)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("usage: overlap %s" % command)
+    assert "not allowed with argument" in err
 
 
 def test_bad_flag_returns_2(capsys):

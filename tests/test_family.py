@@ -320,6 +320,60 @@ def test_repeats_that_change_the_lf_order_are_rekeyed(texts):
         assert getattr(a, name).tolist() == getattr(b, name).tolist()
 
 
+def sets_with_repeats(rng, n, m):
+    """m random sets of 1 to 9 of n elements, as lists, each given 0 to
+    5 copies of its elements at its first, middle or last place. A copy
+    put first takes its element's first place; a small set given many
+    copies moves up the LF order."""
+    sets = []
+    for _ in range(m):
+        s = rng.choice(n, rng.integers(1, min(n, 9), endpoint=True),
+                       replace=False).tolist()
+        for _ in range(rng.integers(0, 5, endpoint=True)):
+            copy = s[rng.integers(len(s))]
+            s.insert([0, len(s) // 2, len(s)][rng.integers(3)], copy)
+        sets.append(s)
+    return sets
+
+
+def flat_family(n, sets):
+    return SetFamily(["t%d" % e for e in range(n)], *flat(*sets))
+
+
+def test_repeat_path_matches_first_places_kept_random():
+    # each family with repeats equals the family of its sets with every
+    # later copy dropped (dict.fromkeys keeps the first place), through
+    # the LF order, the SL lists the constructor sorted and the pipeline
+    lf_moved = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 40, endpoint=True)), int(
+            rng.integers(1, 60, endpoint=True))
+        raw = sets_with_repeats(rng, n, m)
+        kept = [list(dict.fromkeys(s)) for s in raw]
+        f, g = flat_family(n, raw), flat_family(n, kept)
+        for name in ("elems", "sizes", "offsets"):
+            assert getattr(f, name).tolist() == getattr(g, name).tolist()
+        for name in ("order", "rank"):
+            assert (getattr(f.lf, name).tolist()
+                    == getattr(g.lf, name).tolist())
+        lf_moved += (sort_order(-flat(*raw)[1])[0].tolist()
+                     != g.lf.order.tolist())
+        a, b = build_sl_lists(f), build_sl_lists(g)
+        for name in ("flat", "offsets", "keys"):
+            assert getattr(a, name).tolist() == getattr(b, name).tolist()
+        res, want = run_pipeline(flat_family(n, raw)), run_pipeline(g)
+        assert res.maxes.partners.tolist() == want.maxes.partners.tolist()
+        for name in ("a", "b"):
+            assert (getattr(res.subgraph, name).tolist()
+                    == getattr(want.subgraph, name).tolist())
+        for name in ("order", "a", "b"):
+            assert (getattr(res.forest, name).tolist()
+                    == getattr(want.forest, name).tolist())
+    # the repeats reorder the sets by size in most families
+    assert lf_moved >= 150
+
+
 def test_pipeline_takes_the_sl_keys_and_a_later_build_sorts_them():
     # after run_pipeline the family holds no |F|-sized array but elems;
     # a build of the SL lists after the first sorts the keys again, to
