@@ -48,7 +48,7 @@ def overlaps(a, b):
     """True iff the two element sets intersect without either containing the other."""
     sa = a if isinstance(a, (set, frozenset)) else set(a)
     sb = b if isinstance(b, (set, frozenset)) else set(b)
-    return (not sa.isdisjoint(sb)) and bool(sa - sb) and bool(sb - sa)
+    return not (sa.isdisjoint(sb) or sa <= sb or sb <= sa)
 
 
 class OracleLabeling:
@@ -67,32 +67,29 @@ class OracleLabeling:
 
 
 class OverlapGraphFull:
-    """Every overlapping pair, plus the resulting OracleLabeling."""
+    """The classes of the overlap graph, as an OracleLabeling."""
 
-    __slots__ = ("edges", "labeling")
+    __slots__ = ("labeling",)
 
-    def __init__(self, edges, labeling):
-        self.edges = edges
+    def __init__(self, labeling):
         self.labeling = labeling
 
 
 def overlap_graph_full(f):
-    """Test all m(m-1)/2 pairs; refuses families larger than oracle_cap()."""
+    """Test all m(m-1)/2 pairs and union each overlapping one; refuses
+    families larger than oracle_cap()."""
     limit = oracle_cap()
     if f.m > limit:
         raise OracleCapExceeded(
             "family has m = %d sets, oracle cap is %d" % (f.m, limit))
     sets = f.as_frozensets()
-    edges = []
     uf = UnionFind(f.m)
     for i in range(f.m):
         si = sets[i]
         for j in range(i + 1, f.m):
             if overlaps(si, sets[j]):
-                edges.append((i, j))
                 uf.union(i, j)
-    return OverlapGraphFull(
-        edges, OracleLabeling([uf.find(i) for i in range(f.m)]))
+    return OverlapGraphFull(OracleLabeling([uf.find(i) for i in range(f.m)]))
 
 
 def max_oracle(f, lf):

@@ -1,21 +1,25 @@
 import ast
 import importlib.util
+import io
+import json
 import re
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from overlap import cli
 from overlap.generate import gen_blocks
 from overlap.pipeline import LAYERS
 
 from conftest import FAM_A_TEXT
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / (name + ".py"))
+def load_tool(name, folder=TOOLS):
+    spec = importlib.util.spec_from_file_location(name, folder / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -25,6 +29,7 @@ code_lines = load_tool("code_lines")
 layer_times = load_tool("layer_times")
 output_digests = load_tool("output_digests")
 phase_memory = load_tool("phase_memory")
+bench_check = load_tool("check", ROOT / "benchmark")
 
 SOURCE = '''"""Module docstring
 over two lines."""
@@ -148,3 +153,18 @@ def test_phase_memory_prints_one_table_row(tmp_path, capsys):
     assert figures[1] <= figures[3] <= figures[5]
     with pytest.raises(SystemExit):
         phase_memory.main([])
+
+
+def test_benchmark_exact_check_passes_on_forest_json(tmp_path):
+    # the benchmark's small exact check, which its ok_frac counts: the
+    # oracle's classes and Max, and a self-test that corruptions fail
+    text = gen_blocks(64, 120, 8, 7)
+    path = tmp_path / "blocks.txt"
+    path.write_text(text)
+    out = io.StringIO()
+    assert cli.main(["forest", "--json", str(path)], out=out) == 0
+    payload = json.loads(out.getvalue())
+    sets = bench_check.read_sets(text)
+    assert bench_check.check_payload(sets, payload, block_width=8) == []
+    assert bench_check.oracle_problems(text, payload) == []
+    assert bench_check.self_test(sets, text, payload) == []
