@@ -180,10 +180,10 @@ class SetFamily:
             raise ValueError("set sizes do not split the %d elements"
                              % len(elems))
         # checked before the int32 cast, so a wider index cannot wrap
-        outside = (elems < 0) | (elems >= self.n)
-        if outside.any():
+        if elems.min() < 0 or elems.max() >= self.n:
+            bad = ((elems < 0) | (elems >= self.n)).argmax()
             raise ValueError("element index %r out of range"
-                             % (int(elems[outside.argmax()]),))
+                             % (int(elems[bad]),))
         elems = elems.astype(np.int32, copy=False)
         sizes = sizes.astype(np.int32, copy=False)
         # runs once, and once more on the kept entries if any were dropped

@@ -21,8 +21,11 @@ need not be run. Pass 1 sorts the columns, each the list of LF ranks of
 the sets holding an element, by the naming of Karp, Miller and Rosenberg
 ("Rapid identification of repeated patterns in strings, trees and
 arrays", STOC 1972): round k names the aligned blocks of 2**k entries
-with one sort_groups call (family.py). As in the prefix doubling of
-suffix arrays (Manber and Myers, SIAM J. Comput. 1993), each column
+by the pair of their halves' names. That pair key is the name itself
+while the keys the next round would make from it still fit one packed
+sort (family.sort_order) beside their index; past that, one sort_groups
+call renames the round's blocks by dense rank. As in the prefix
+doubling of suffix arrays (Manber and Myers, SIAM J. Comput. 1993), each column
 carries a rank that every round refines by its first block's name, and
 a column leaves the rounds once its rank is final, so the rounds name
 O(|F| + n) blocks in all. The split between two adjacent columns is
@@ -127,13 +130,21 @@ def _name_round(names, first, length, k):
     the round before, the 0 for a lone last half, and the round ends
     with a 0. In round 0 a block is one entry and its name the entry,
     and every column ends with a 0. Round k takes the columns that
-    start at first in round k - 1, of length entries each, and names
-    each of their blocks of 2**k entries by the dense rank, from 1, of
-    the pair of its halves' names. So two blocks of a round get one name
-    exactly when their entries are equal, and names order blocks like
-    their entries padded with 0s. Returns where each column starts, the
-    names, and per block the index of its left half in round k - 1, -1
-    for a 0; its right half is the next index.
+    start at first in round k - 1, of length entries each, and keys
+    each of their blocks of 2**k entries by the pair of its halves'
+    names, left * top + right, top being above every name of round
+    k - 1. A 0 reads the last 0 of round k - 1 as its left half, so its
+    key is below every block's. A round keeps these keys as its names
+    while 2 * bits(top**2 - 1) + bits(blocks - 1) <= 63: the next
+    round's keys are below top**4, and it has no more blocks than this
+    one, so they fit one packed pass of sort_order with their index.
+    Past that bound a round renames its blocks by the dense rank of
+    their keys (sort_groups): 0 for a 0, from 1 for the others. Either
+    way a 0 has the least name of its round, two blocks get one
+    name exactly when their entries are equal, and names order blocks
+    like their entries padded with 0s. Returns where each column
+    starts, the names, and per block the index of its left half in
+    round k - 1, -1 for a 0; its right half is the next index.
     """
     count = ((length - 1) >> k) + 1
     size = count + (count & 1)
@@ -141,10 +152,14 @@ def _name_round(names, first, length, k):
     start = np.cumsum(size) - size
     left = 2 * np.arange(size.sum()) - np.repeat(2 * start - first, size)
     left[(start + count)[count < size]] = -1
-    # a 0's key, 0 * (max + 1) + names[0], is below every block's
-    key = names[left] * np.int64(int(names.max()) + 1)
+    # a 0's key, names[-1] * top + names[0], is below every block's:
+    # names[-1] is a 0's name and a block's left half is no 0
+    top = int(names.max()) + 1
+    key = names[left] * np.int64(top)
     key += names[left + 1]
-    return start, sort_groups(key)[3], left
+    if 2 * (top * top - 1).bit_length() + (len(key) - 1).bit_length() > 63:
+        key = sort_groups(key)[3]
+    return start, key, left
 
 
 def _rank_round(rank, cols, name, keep):

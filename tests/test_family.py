@@ -104,6 +104,10 @@ class TestParse:
                            % bad):
             SetFamily(["a", "b"], *flat([0, 1], [bad]))
 
+    def test_first_index_out_of_range_named(self):
+        with pytest.raises(ValueError, match="element index 5 out of range"):
+            SetFamily(["a", "b"], *flat([0, 1], [5, -1], [7]))
+
     def test_wide_index_rejected_before_the_int32_cast(self):
         # 2**32 is 0 once cast to int32; it must not come back as element 0
         with pytest.raises(ValueError, match="element index %d out of range"

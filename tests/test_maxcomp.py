@@ -222,6 +222,76 @@ def test_pass1_sorts_linear_keys(monkeypatch, f):
     assert columns_lex_sorted(f, pf)
 
 
+def counted_pass1(monkeypatch, f):
+    """Pass 1 of f with its sorts counted: the final order, the keys
+    sorted in all and, per naming round k, the round's block count and
+    the keys its naming sorted."""
+    sorted_keys, rounds = [], {}
+    naming = maxcomp._name_round
+
+    def counting(sort):
+        def wrapped(key):
+            sorted_keys.append(len(key))
+            return sort(key)
+        return wrapped
+
+    def name_round(names, first, length, k):
+        before = len(sorted_keys)
+        out = naming(names, first, length, k)
+        rounds[k] = len(out[1]), sum(sorted_keys[before:])
+        return out
+
+    for name in ("sort_groups", "sort_order"):
+        monkeypatch.setattr(maxcomp, name, counting(getattr(maxcomp, name)))
+    with monkeypatch.context() as patch:
+        patch.setattr(maxcomp, "_name_round", name_round)
+        pf = maxcomp.compute_pf(f, build_sl_lists(f))
+    return pf, sum(sorted_keys), rounds
+
+
+def test_pass1_sorts_under_half_of_the_entries_on_a_chain(monkeypatch):
+    """A round whose pair keys are small enough keeps them as its names,
+    so on a chain only every other naming round sorts: pass 1 sorts
+    fewer than (|F| + n) / 2 keys in all."""
+    f = parse_family(gen_nested(256))
+    pf, total, rounds = counted_pass1(monkeypatch, f)
+    assert total < (f.total_size + f.n) / 2
+    assert [rounds[k][1] == 0 for k in sorted(rounds)] == [True, False] * 4
+    assert columns_lex_sorted(f, pf)
+
+
+@pytest.fixture(scope="module")
+def chains():
+    # 1448 is the first chain whose round-0 names, from 1 to m, give
+    # round-1 pair keys of 22 bits: with the 20 bits of the next round's
+    # index, their square no longer fits one packed pass
+    return {k: parse_family(gen_nested(k)) for k in (1447, 1448)}
+
+
+@pytest.mark.parametrize("k, round_one_renames", [(1447, False),
+                                                  (1448, True)])
+def test_a_round_renames_only_past_the_one_pass_bound(monkeypatch, chains,
+                                                      k, round_one_renames):
+    _, _, rounds = counted_pass1(monkeypatch, chains[k])
+    blocks, sorted_keys = rounds[1]
+    assert sorted_keys == (blocks if round_one_renames else 0)
+    # dense names from 1 to under 2**20 leave round 2's keys in one pass
+    assert rounds[2][1] == (0 if round_one_renames else rounds[2][0])
+
+
+@pytest.mark.parametrize("k", [1447, 1448])
+def test_pass1_of_a_chain_at_the_one_pass_bound(chains, k):
+    """The columns of a chain are prefixes of each other, the one of
+    length L being the LF ranks 0 to L - 1: the order runs by increasing
+    column length, and the column of length p + 1 first differs from the
+    one before it at rank p."""
+    f = chains[k]
+    pf = pass1(f)
+    length = np.bincount(f.elems, minlength=f.n)
+    assert length[pf.elem_at].tolist() == list(range(1, k + 1))
+    assert pf.row.tolist() == [f.m] + list(range(1, k))
+
+
 def columns_lex_sorted(f, pf):
     sets = f.as_frozensets()
     cols = []

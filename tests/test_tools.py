@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import io
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -25,6 +26,7 @@ def load_tool(name, folder=TOOLS):
     return module
 
 
+bench_pairs = load_tool("bench_pairs")
 code_lines = load_tool("code_lines")
 layer_times = load_tool("layer_times")
 output_digests = load_tool("output_digests")
@@ -168,3 +170,80 @@ def test_benchmark_exact_check_passes_on_forest_json(tmp_path):
     assert bench_check.check_payload(sets, payload, block_width=8) == []
     assert bench_check.oracle_problems(text, payload) == []
     assert bench_check.self_test(sets, text, payload) == []
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")),
+                         ids=lambda p: p.name)
+def test_bench_pairs_medians_and_wins_match_the_summary(path):
+    doc = json.loads(path.read_text())
+    sets = bench_pairs.run_sets(doc)
+    summaries = [doc["summary"]] + [doc[name]["summary"]
+                                    for name, _ in sets[1:]]
+    for (_, runs), summary in zip(sets, summaries):
+        rows = {(r["workload"], r["metric"]): r
+                for r in bench_pairs.verdicts(runs)}
+        workloads = {w for w, _ in rows}
+        if set(summary) <= {e["name"] for e in bench_pairs.end_to_end()}:
+            # a set of one workload's runs keeps its summary by metric
+            summary = {w: summary for w in workloads}
+        assert workloads == set(summary)
+        for workload, metrics in summary.items():
+            for metric, s in metrics.items():
+                row = rows[workload, metric]
+                assert row["pairs"] == s["pairs"]
+                assert row["parent_median"] == s["parent_median"]
+                assert row["change_median"] == s["change_median"]
+                assert row["raw"][0] == s["change_wins"]
+
+
+def synthetic_runs(shift, noise, host):
+    """Ten pairs of one workload: the parent's e2e_s is 1 + noise[i], the
+    change's that times shift and times host[i], the host's slowdown in
+    the change's run, which its host.calib_s shows."""
+    runs = []
+    for seed, (d, h) in enumerate(zip(noise, host)):
+        for side, value, calib in (("parent", 1 + d, 0.1),
+                                   ("change", (1 + d) * shift * h, 0.1 * h)):
+            metrics = {e["name"]: {"value": 1.0}
+                       for e in bench_pairs.end_to_end()}
+            metrics["e2e_s"] = {"value": value}
+            runs.append({"workload": "w", "seed": seed, "side": side,
+                         "trace": 0, "host.calib_s": calib,
+                         "result": {"metrics": metrics}})
+    return runs
+
+
+def test_bench_pairs_interval_holds_a_known_shift(tmp_path, capsys):
+    noise = [0.03, -0.02, 0.01, 0.0, -0.04, 0.02, 0.05, -0.01, 0.04, -0.03]
+    host = [1.06, 0.94, 1.02, 0.97, 1.08, 0.99, 0.93, 1.04, 1.01, 0.96]
+    doc = {"runs": synthetic_runs(1.05, noise, host)}
+    row = next(r for r in bench_pairs.verdicts(doc["runs"])
+               if r["metric"] == "e2e_s")
+    shift = math.log(1.05)
+    wins, median, (lo, hi, coverage) = row["raw"]
+    assert lo < shift < hi and coverage > 0.97
+    # the host's swings widen the raw interval; the adjusted one is the
+    # shift alone, and every pair lost it once the host is taken out
+    assert wins == 2 and hi - lo > 0.1
+    wins, median, (lo, hi, _) = row["adjusted"]
+    assert wins == 0
+    assert median == pytest.approx(shift) and hi - lo < 1e-9
+    assert row["parent_median"] == pytest.approx(1.005)
+    path = tmp_path / "BENCH_0.json"
+    path.write_text(json.dumps(doc))
+    assert bench_pairs.main([str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == bench_pairs.HEADER
+    assert "| main | w | e2e_s | adjusted |  |  | 0 of 10 | +0.0488 |" in (
+        "\n".join(lines))
+    assert bench_pairs.main([]) == 2
+
+
+@pytest.mark.parametrize("n, k, coverage", [(5, 0, None), (6, 1, 0.96875),
+                                            (10, 2, 0.978515625)])
+def test_bench_pairs_interval_order_statistics(n, k, coverage):
+    got = bench_pairs.interval(list(range(n, 0, -1)))
+    if k == 0:
+        assert got is None
+    else:
+        assert got == (k, n + 1 - k, coverage)
